@@ -3,8 +3,7 @@
 The slope of log PEP against log SNR over a 60-80 dB window converges to
 the user index l: the l-th ordered Rayleigh gain contributes an omega^(2l-1)
 density near zero, so the averaged error probability decays like
-gamma_bar^(-l). The noise shape alpha moves the curves but not the slope
-(alpha = 0.5 is evaluated by direct quadrature; 1 and 2 by closed form).
+gamma_bar^(-l). The noise shape alpha moves the curves but not the slope.
 """
 
 from noma_ggn import (
@@ -12,8 +11,7 @@ from noma_ggn import (
     SystemConfig,
     canonical_event,
     diversity_order,
-    pep_closed_form,
-    pep_direct,
+    pep_exact,
 )
 
 WINDOW = (60.0, 80.0)
@@ -22,10 +20,7 @@ WINDOW = (60.0, 80.0)
 def pep_at(snr_db, l, alpha):
     gamma_bar = 10.0 ** (snr_db / 10.0)
     cfg = SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=gamma_bar, noise_alpha=alpha)
-    ev = canonical_event(cfg, l)
-    if alpha in (1.0, 2.0):
-        return pep_closed_form(ev, alpha).value
-    return pep_direct(ev, GGNoiseModel.normalized(alpha)).value
+    return pep_exact(canonical_event(cfg, l), GGNoiseModel.normalized(alpha)).value
 
 
 def main():

@@ -20,9 +20,7 @@ from .noma import (
     superpose,
 )
 from .pep import (
-    DecisionNoise,
     DiversityEstimate,
-    MeijerOracleSpec,
     NumericFailure,
     PepResult,
     UnionBoundResult,
@@ -38,10 +36,8 @@ from .specfun import (
     DomainError,
     QuadratureError,
     QuadratureSpec,
-    erfc,
     erfcx,
     integrate_semi_infinite,
-    ln_gamma,
     lower_incomplete_gamma_reg,
     upper_incomplete_gamma_reg,
 )
@@ -50,14 +46,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BPSK",
-    "DecisionNoise",
     "DegenerateEventError",
     "DiversityEstimate",
     "DomainError",
     "ErrorEvent",
     "GGNoiseModel",
     "McEstimate",
-    "MeijerOracleSpec",
     "NumericFailure",
     "OrderStatsTerm",
     "PepResult",
@@ -70,12 +64,10 @@ __all__ = [
     "conditional_pep",
     "diversity_order",
     "enumerate_error_events",
-    "erfc",
     "erfcx",
     "estimate_pep_mc",
     "integrate_semi_infinite",
     "lambda0",
-    "ln_gamma",
     "lower_incomplete_gamma_reg",
     "order_terms",
     "ordered_pdf",

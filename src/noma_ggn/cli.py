@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ from .pep import (
 from .specfun import DomainError, QuadratureError
 
 __all__ = ["SweepRecord", "RunParams", "ConfigError", "parse_config", "run_sweep", "main"]
-
-ENV_WORKERS = "NOMA_GGN_WORKERS"
 
 METRICS = (
     "ber_sim",
@@ -249,25 +246,6 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _analytic_pep(params: RunParams, gamma_bar: float, l: int, closed: bool):
-    config = params.system_config(gamma_bar)
-    event = canonical_event(config, l)
-    if closed:
-        return pep_closed_form(event, params.alpha).value
-    return pep_exact(event, GGNoiseModel.normalized(params.alpha)).value
-
-
-def _stable_pep(params: RunParams, gamma_bar: float, l: int) -> float:
-    """Per-user PEP on the reference event, by whichever analytic route stays
-    accurate at the requested SNR (closed form if available, else direct
-    averaging)."""
-    config = params.system_config(gamma_bar)
-    event = canonical_event(config, l)
-    if params.alpha in (1.0, 2.0):
-        return pep_closed_form(event, params.alpha).value
-    return pep_direct(event, GGNoiseModel.normalized(params.alpha)).value
-
-
 def run_sweep(params: RunParams, metrics: tuple) -> list:
     """Evaluate the requested metrics over the SNR grid.
 
@@ -275,7 +253,6 @@ def run_sweep(params: RunParams, metrics: tuple) -> list:
     re-raised as NumericFailure naming the offending point.
     """
     model = GGNoiseModel.normalized(params.alpha)
-    partitions = int(os.environ.get(ENV_WORKERS, "0")) or (os.cpu_count() or 1)
     records = []
     users = range(1, params.users + 1)
     for m in metrics:
@@ -290,7 +267,10 @@ def run_sweep(params: RunParams, metrics: tuple) -> list:
                 mid = 0.5 * (lo_db + hi_db)
                 for l in users:
                     curve = {
-                        db: _stable_pep(params, _db_to_linear(db), l)
+                        db: pep_exact(
+                            canonical_event(params.system_config(_db_to_linear(db)), l),
+                            model,
+                        ).value
                         for db in (lo_db, hi_db)
                     }
                     est = diversity_order(curve, (lo_db, hi_db))
@@ -299,12 +279,9 @@ def run_sweep(params: RunParams, metrics: tuple) -> list:
                     )
                 continue
             for db in params.snr_db:
-                gamma_bar = _db_to_linear(db)
-                config = params.system_config(gamma_bar)
+                config = params.system_config(_db_to_linear(db))
                 if metric == "ber_sim":
-                    estimates = simulate_ber(
-                        config, model, params.trials, params.seed, partitions
-                    )
+                    estimates = simulate_ber(config, model, params.trials, params.seed)
                     for l, est in zip(users, estimates):
                         records.append(
                             SweepRecord(
@@ -315,15 +292,15 @@ def run_sweep(params: RunParams, metrics: tuple) -> list:
                     continue
                 for l in users:
                     if metric == "pep_analytic":
-                        value = _analytic_pep(params, gamma_bar, l, closed=False)
+                        value = pep_exact(canonical_event(config, l), model).value
                         rec = SweepRecord(db, l, metric, params.alpha, value)
                     elif metric == "pep_closed":
-                        value = _analytic_pep(params, gamma_bar, l, closed=True)
+                        value = pep_closed_form(canonical_event(config, l), params.alpha).value
                         rec = SweepRecord(db, l, metric, params.alpha, value)
                     elif metric == "pep_mc":
                         est = estimate_pep_mc(
                             canonical_event(config, l), config, model,
-                            params.trials, params.seed, partitions,
+                            params.trials, params.seed,
                         )
                         rec = SweepRecord(
                             db, l, metric, params.alpha,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import DomainError, ln_gamma
+from .specfun import DomainError
 
 __all__ = ["GGNoiseModel", "lambda0", "stream_rng"]
 
@@ -21,7 +21,7 @@ def lambda0(alpha: float) -> float:
     """Shape constant Gamma(3/alpha) / Gamma(1/alpha), via log-gamma."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return math.exp(ln_gamma(3.0 / alpha) - ln_gamma(1.0 / alpha))
+    return math.exp(math.lgamma(3.0 / alpha) - math.lgamma(1.0 / alpha))
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -1,9 +1,9 @@
 """Seeded Monte Carlo: pairwise-decision experiments and full SIC-chain BER.
 
 Trials are processed in fixed-size logical blocks, each drawing from its own
-(seed, block-index) stream. Error counts are integers and merging is plain
-summation, so results are bit-identical for any partitioning of the blocks
-across workers.
+(seed, block-index) stream through a per-block function. Error counts are
+integers and merging is plain summation, so the counts are the same for any
+split of the blocks into ranges and any order of visiting them.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import sample_ordered_gains
 from .ggd import GGNoiseModel, stream_rng
-from .noma import ErrorEvent, SystemConfig
+from .noma import ErrorEvent, SystemConfig, nearest_symbol
 from .specfun import DomainError
 
 __all__ = ["McEstimate", "BLOCK_TRIALS", "wilson_interval", "estimate_pep_mc", "simulate_ber"]
@@ -40,26 +41,18 @@ def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z) -> tuple:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Binomial point estimate with 95% Wilson bounds and its provenance."""
+    """Binomial point estimate with 95% Wilson bounds and its seed."""
 
     point: float
     trials: int
     ci_low: float
     ci_high: float
     seed: int
-    partitions: int
 
     @classmethod
-    def from_counts(cls, errors, trials, seed, partitions):
+    def from_counts(cls, errors, trials, seed):
         lo, hi = wilson_interval(errors, trials)
-        return cls(
-            point=errors / trials,
-            trials=trials,
-            ci_low=lo,
-            ci_high=hi,
-            seed=seed,
-            partitions=partitions,
-        )
+        return cls(point=errors / trials, trials=trials, ci_low=lo, ci_high=hi, seed=seed)
 
 
 def _block_sizes(trials: int) -> list:
@@ -79,13 +72,23 @@ def _decision_noise_model(alpha: float) -> GGNoiseModel:
     return GGNoiseModel(alpha=alpha, sigma2=0.5)
 
 
+def _pep_block(
+    event: ErrorEvent, config: SystemConfig, model: GGNoiseModel, rng: np.random.Generator, n: int
+) -> int:
+    """Pairwise decision errors in one block of n trials drawn from rng."""
+    h = sample_ordered_gains(config.L, rng, n)[:, event.l - 1]
+    nn = _decision_noise_model(model.alpha).sample(rng, size=n)
+    lhs = (h * event.zeta + nn) ** 2
+    rhs = (h * event.X + nn) ** 2
+    return int(np.count_nonzero(lhs <= rhs))
+
+
 def estimate_pep_mc(
     event: ErrorEvent,
     config: SystemConfig,
     model: GGNoiseModel,
     trials: int,
     seed: int,
-    partitions: int = 1,
 ) -> McEstimate:
     """Frequency of the pairwise decision error for a frozen event.
 
@@ -96,23 +99,35 @@ def estimate_pep_mc(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
-    noise = _decision_noise_model(model.alpha)
-    L, col = config.L, event.l - 1
-    errors = 0
-    for block, n in enumerate(_block_sizes(trials)):
-        rng = stream_rng(seed, block)
-        h = np.sort(rng.rayleigh(scale=1.0, size=(n, L)), axis=1)[:, col]
-        nn = noise.sample(rng, size=n)
-        lhs = (h * event.zeta + nn) ** 2
-        rhs = (h * event.X + nn) ** 2
-        errors += int(np.count_nonzero(lhs <= rhs))
-    return McEstimate.from_counts(errors, trials, seed, partitions)
+    errors = sum(
+        _pep_block(event, config, model, stream_rng(seed, block), n)
+        for block, n in enumerate(_block_sizes(trials))
+    )
+    return McEstimate.from_counts(errors, trials, seed)
 
 
-def _sic_decide(phi: np.ndarray, resid: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # phi ascending; argmin takes the first minimum, i.e. the smaller symbol
-    dist = np.abs(resid[:, None] - c[:, None] * phi[None, :])
-    return phi[np.argmin(dist, axis=1)]
+def _ber_block(
+    config: SystemConfig, model: GGNoiseModel, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Per-user bit errors (int64, length L) in one block of n trials drawn
+    from rng."""
+    L = config.L
+    phi = np.asarray(config.constellation)
+    amps = np.array([config.amplitude(k) for k in range(1, L + 1)])
+    errors = np.zeros(L, dtype=np.int64)
+    gains = sample_ordered_gains(L, rng, n)
+    symbols = phi[rng.integers(0, len(phi), size=(n, L))]
+    nn = _decision_noise_model(model.alpha).sample(rng, size=(n, L))
+    composite = symbols @ amps
+    for l in range(1, L + 1):
+        h = gains[:, l - 1]
+        resid = h * composite + nn[:, l - 1]
+        for k in range(1, l + 1):
+            decided = nearest_symbol(phi, resid, amps[k - 1] * h)
+            if k < l:
+                resid = resid - amps[k - 1] * h * decided
+        errors[l - 1] = np.count_nonzero(decided != symbols[:, l - 1])
+    return errors
 
 
 def simulate_ber(
@@ -120,7 +135,6 @@ def simulate_ber(
     model: GGNoiseModel,
     trials: int,
     seed: int,
-    partitions: int = 1,
 ) -> tuple:
     """End-to-end SIC bit error rate per user.
 
@@ -131,26 +145,7 @@ def simulate_ber(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
-    noise = _decision_noise_model(model.alpha)
-    L = config.L
-    phi = np.asarray(config.constellation)
-    amps = np.array([config.amplitude(k) for k in range(1, L + 1)])
-    errors = np.zeros(L, dtype=np.int64)
+    errors = np.zeros(config.L, dtype=np.int64)
     for block, n in enumerate(_block_sizes(trials)):
-        rng = stream_rng(seed, block)
-        gains = np.sort(rng.rayleigh(scale=1.0, size=(n, L)), axis=1)
-        symbols = phi[rng.integers(0, len(phi), size=(n, L))]
-        nn = noise.sample(rng, size=(n, L))
-        composite = symbols @ amps
-        for l in range(1, L + 1):
-            h = gains[:, l - 1]
-            resid = h * composite + nn[:, l - 1]
-            for k in range(1, l + 1):
-                decided = _sic_decide(phi, resid, amps[k - 1] * h)
-                if k < l:
-                    resid = resid - amps[k - 1] * h * decided
-            errors[l - 1] += np.count_nonzero(decided != symbols[:, l - 1])
-    return tuple(
-        McEstimate.from_counts(int(errors[l]), trials, seed, partitions)
-        for l in range(L)
-    )
+        errors += _ber_block(config, model, stream_rng(seed, block), n)
+    return tuple(McEstimate.from_counts(int(e), trials, seed) for e in errors)

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .specfun import DomainError
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "EnumeratedEvents",
     "DegenerateEventError",
     "superpose",
+    "nearest_symbol",
     "sic_receive",
     "build_error_event",
     "enumerate_error_events",
@@ -103,26 +106,34 @@ def superpose(config: SystemConfig, symbols: Sequence[float]) -> float:
     )
 
 
+def nearest_symbol(phi: np.ndarray, residual: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """One SIC layer, row by row: the point of the ascending constellation phi
+    minimizing |residual - c * x|. argmin takes the first minimum, so ties
+    break toward the smaller symbol."""
+    dist = np.abs(residual[:, None] - c[:, None] * phi[None, :])
+    return phi[np.argmin(dist, axis=1)]
+
+
 def sic_receive(config: SystemConfig, received: float, h: float, l: int) -> tuple:
     """Layered detection at user l: decode layers 1..l, subtracting each.
 
     Each layer picks the constellation point minimizing
-    |residual - sqrt(a_k gamma_bar) h x|; ties break toward the smaller
-    symbol. Returns the l decisions in layer order.
+    |residual - sqrt(a_k gamma_bar) h x| by a one-row nearest_symbol call, so
+    ties break toward the smaller symbol. Returns the l decisions in layer
+    order.
     """
     if h < 0.0:
         raise DomainError(f"channel gain must be >= 0, got {h!r}")
     if not 1 <= l <= config.L:
         raise DomainError(f"user index must be in 1..{config.L}, got {l!r}")
-    residual = float(received)
+    phi = np.asarray(config.constellation)
+    residual = np.array([float(received)])
     decided = []
     for k in range(1, l + 1):
         c = config.amplitude(k) * h
-        # constellation is stored ascending, so min() lands on the smaller
-        # symbol for equidistant candidates
-        best = min(config.constellation, key=lambda s: (abs(residual - c * s), s))
-        decided.append(best)
-        residual -= c * best
+        best = nearest_symbol(phi, residual, np.array([c]))
+        decided.append(float(best[0]))
+        residual = residual - c * best
     return tuple(decided)
 
 

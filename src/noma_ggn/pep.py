@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
-from .channel import OrderStatsTerm, order_terms, ordered_pdf
+from .channel import order_terms, ordered_pdf
 from .ggd import GGNoiseModel, lambda0
 from .noma import ErrorEvent, SystemConfig, build_error_event, enumerate_error_events
 from .specfun import (
@@ -25,16 +24,12 @@ from .specfun import (
     QuadratureSpec,
     erfcx,
     integrate_semi_infinite,
-    ln_gamma,
     lower_incomplete_gamma_reg,
     upper_incomplete_gamma_reg,
 )
 
 __all__ = [
-    "DecisionNoise",
     "PepResult",
-    "ClosedFormTerm",
-    "MeijerOracleSpec",
     "DiversityEstimate",
     "UnionBoundResult",
     "NumericFailure",
@@ -47,74 +42,22 @@ __all__ = [
     "canonical_event",
 ]
 
+# Every PEP integral is driven by relative error: PEP values span hundreds of
+# orders of magnitude, so a larger absolute floor would let tiny
+# probabilities converge to noise.
+_QUAD = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-10, max_subdivisions=200)
+
 
 class NumericFailure(RuntimeError):
     """A numeric pipeline stage produced an unusable value."""
 
 
 @dataclass(frozen=True)
-class DecisionNoise:
-    """Scale and variance of the pairwise decision variable at gain h."""
-
-    lambda_sub: float
-    sigma_N2: float
-
-    @classmethod
-    def from_event(cls, event: ErrorEvent, h: float) -> "DecisionNoise":
-        if h <= 0.0:
-            raise DomainError(f"gain must be positive, got {h!r}")
-        amp = event.config.amplitude(event.l)
-        dc = abs(event.delta_check)
-        lam0 = lambda0(event.config.noise_alpha)
-        return cls(
-            lambda_sub=math.sqrt(lam0) / (math.sqrt(2.0) * amp * h * dc),
-            sigma_N2=2.0 * amp * amp * h * h * dc * dc,
-        )
-
-
-@dataclass(frozen=True)
 class PepResult:
-    """Analytic PEP with per-order-statistics-term diagnostics.
-
-    terms holds (OrderStatsTerm, T1, T2) triples; the headline value equals
-    A_l/(2 Gamma(1/alpha)) * sum_i C(l-1,i) (-1)^i [T1 + (-1)^mu T2] up to
-    floating-point noise (the value itself is computed in a
-    cancellation-resistant arrangement).
-    """
+    """Analytic PEP and the route that produced it."""
 
     value: float
-    terms: tuple
     method: str
-
-
-@dataclass(frozen=True)
-class ClosedFormTerm:
-    """Dimensionless argument of the closed-form bracket for one term."""
-
-    tau: float
-
-    def __post_init__(self):
-        if self.tau < 0.0:
-            raise DomainError(f"tau must be >= 0, got {self.tau!r}")
-
-
-@dataclass(frozen=True)
-class MeijerOracleSpec:
-    """Bookkeeping for the Meijer-G identity order: smallest k with
-    k * alpha / 2 integer. Documents the closed-form oracle cases; the
-    general Meijer form is never evaluated numerically."""
-
-    k: int
-    t: int
-
-    @classmethod
-    def for_alpha(cls, alpha: float) -> "MeijerOracleSpec":
-        frac = Fraction(alpha).limit_denominator(10**6)
-        if abs(float(frac) - alpha) > 1e-12:
-            raise DomainError(f"no small rational k*alpha/2 for alpha={alpha!r}")
-        p, q = frac.numerator, frac.denominator
-        k = 2 * q // math.gcd(p, 2 * q)
-        return cls(k=k, t=k * p // (2 * q))
 
 
 @dataclass(frozen=True)
@@ -137,18 +80,6 @@ class UnionBoundResult:
     p_ub: float
     q: int
     contributions: tuple
-
-
-def _integrate_rel(f, quad: QuadratureSpec):
-    """Quadrature driven by relative error: PEP values span hundreds of
-    orders of magnitude, so the default absolute floor would otherwise let
-    tiny probabilities converge to noise."""
-    spec = QuadratureSpec(
-        abs_tol=min(quad.abs_tol, 1e-280),
-        rel_tol=quad.rel_tol,
-        max_subdivisions=quad.max_subdivisions,
-    )
-    return integrate_semi_infinite(f, spec)
 
 
 def _kappa(event: ErrorEvent, lam0: float) -> float:
@@ -178,7 +109,7 @@ def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
     return 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
 
 
-def _t2_term(alpha: float, kappa: float, delta: int, quad: QuadratureSpec) -> float:
+def _t2_term(alpha: float, kappa: float, delta: int) -> float:
     """T2 for one order-statistics term:
     (alpha kappa / delta) * int_0^inf exp(-(kappa w)^alpha - delta w^2 / 2) dw.
     """
@@ -186,13 +117,30 @@ def _t2_term(alpha: float, kappa: float, delta: int, quad: QuadratureSpec) -> fl
     def integrand(w: float) -> float:
         return math.exp(-((kappa * w) ** alpha) - 0.5 * delta * w * w)
 
-    val, _ = _integrate_rel(integrand, quad)
+    val, _ = integrate_semi_infinite(integrand, _QUAD)
     return alpha * kappa / delta * val
 
 
-def _constructive_value(
-    event: ErrorEvent, alpha: float, kappa: float, quad: QuadratureSpec
-) -> float:
+def _t1_t2_sum(event: ErrorEvent, alpha: float, kappa: float) -> float:
+    """Unconditional PEP by the term-wise expansion
+    A_l/(2 Gamma(1/a)) * sum_i C(l-1,i) (-1)^i [T1 + (-1)^mu T2] with
+    T1 = Gamma(1/a) / delta and T2 from _t2_term.
+
+    Accurate for destructive (mu = 0) events; for mu = 1 the sum cancels to
+    l-th order at high SNR (see _constructive_value).
+    """
+    gamma_inv_a = math.exp(math.lgamma(1.0 / alpha))
+    terms = order_terms(event.L, event.l)
+    acc = 0.0
+    for term in terms:
+        t1 = gamma_inv_a / term.delta
+        t2 = _t2_term(alpha, kappa, term.delta)
+        sign = (-1.0) ** term.i * math.comb(event.l - 1, term.i)
+        acc += sign * (t1 + (-1.0) ** event.mu * t2)
+    return terms[0].a_l / (2.0 * gamma_inv_a) * acc
+
+
+def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> float:
     """Unconditional PEP of a constructive (mu = 1) event via the combined
     nonnegative integrand.
 
@@ -215,60 +163,32 @@ def _constructive_value(
             wp *= big_w
         return math.exp(-((kappa * w) ** alpha)) * beta
 
-    val, _ = _integrate_rel(integrand, quad)
+    val, _ = integrate_semi_infinite(integrand, _QUAD)
     a_l = order_terms(L, l)[0].a_l
-    return a_l / (2.0 * math.exp(ln_gamma(1.0 / alpha))) * alpha * kappa * val
+    return a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa * val
 
 
-def pep_exact(
-    event: ErrorEvent,
-    model: GGNoiseModel,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> PepResult:
-    """Unconditional PEP by the term-wise T1/T2 quadrature expansion."""
-    alpha = model.alpha
+def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
+    """Unconditional PEP by the T1/T2 quadrature expansion: the term-wise sum
+    for destructive (mu = 0) events, the combined integrand for constructive
+    (mu = 1) ones."""
     kappa = _kappa(event, model.lambda0)
-    gamma_inv_a = math.exp(ln_gamma(1.0 / alpha))
-    terms = order_terms(event.L, event.l)
-    diagnostics = []
-    acc = 0.0
-    for term in terms:
-        t1 = gamma_inv_a / term.delta
-        t2 = _t2_term(alpha, kappa, term.delta, quad)
-        diagnostics.append((term, t1, t2))
-        sign = (-1.0) ** term.i * math.comb(event.l - 1, term.i)
-        acc += sign * (t1 + (-1.0) ** event.mu * t2)
     if event.mu:
-        value = _constructive_value(event, alpha, kappa, quad)
+        value = _constructive_value(event, model.alpha, kappa)
     else:
-        value = terms[0].a_l / (2.0 * gamma_inv_a) * acc
-    return PepResult(value=value, terms=tuple(diagnostics), method="quadrature")
+        value = _t1_t2_sum(event, model.alpha, kappa)
+    return PepResult(value=value, method="quadrature")
 
 
-def pep_direct(
-    event: ErrorEvent,
-    model: GGNoiseModel,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> PepResult:
+def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     """Unconditional PEP by direct averaging of the conditional PEP over the
-    ordered-gain density. Independent of the T1/T2 route; also the stable
-    choice for very high SNR curves."""
+    ordered-gain density. Independent of the T1/T2 route."""
 
     def integrand(w: float) -> float:
         return conditional_pep(event, model, w) * ordered_pdf(event.L, event.l, w)
 
-    val, _ = _integrate_rel(integrand, quad)
-    return PepResult(value=val, terms=(), method="direct")
-
-
-def tau_term(event: ErrorEvent, term: OrderStatsTerm, alpha: float) -> ClosedFormTerm:
-    lam0 = lambda0(alpha)
-    amp2 = event.a_l * event.gamma_bar * term.delta
-    return ClosedFormTerm(
-        tau=math.sqrt(lam0)
-        * abs(event.upsilon)
-        / (2.0 * math.sqrt(amp2) * abs(event.delta_check))
-    )
+    val, _ = integrate_semi_infinite(integrand, _QUAD)
+    return PepResult(value=val, method="direct")
 
 
 def _laplace_tail(tau):
@@ -311,10 +231,8 @@ def pep_closed_form(event: ErrorEvent, alpha: float) -> PepResult:
     if alpha not in (1, 2, 1.0, 2.0):
         raise DomainError(f"closed forms exist for alpha in {{1, 2}}, got {alpha!r}")
     alpha = float(alpha)
-    gamma_inv_a = math.exp(ln_gamma(1.0 / alpha))
     lam0 = lambda0(alpha)
     terms = order_terms(event.L, event.l)
-    diagnostics = []
     acc = np.longdouble(0.0)
     base = (
         np.longdouble(lam0)
@@ -335,12 +253,10 @@ def pep_closed_form(event: ErrorEvent, alpha: float) -> PepResult:
             tail = _gauss_tail(tau)
             grow = 2.0 * tau / np.sqrt(4.0 * tau * tau + 1.0)
         bracket = tail if event.mu else 1.0 + grow
-        t2 = gamma_inv_a * float(bracket - 1.0) * (-1.0) ** event.mu / term.delta
-        diagnostics.append((term, gamma_inv_a / term.delta, t2))
         acc += (-1.0) ** term.i * math.comb(event.l - 1, term.i) * bracket / term.delta
     value = float(terms[0].a_l / 2.0 * acc)
     method = "closed_alpha1" if alpha == 1.0 else "closed_alpha2"
-    return PepResult(value=value, terms=tuple(diagnostics), method=method)
+    return PepResult(value=value, method=method)
 
 
 def _bit_errors(config: SystemConfig, x: float, x_check: float) -> int:
@@ -351,13 +267,7 @@ def _bit_errors(config: SystemConfig, x: float, x_check: float) -> int:
     return (i ^ j).bit_count()
 
 
-def union_bound(
-    config: SystemConfig,
-    model: GGNoiseModel,
-    l: int,
-    quad: QuadratureSpec = QuadratureSpec(),
-    pep_fn: Callable[..., PepResult] | None = None,
-) -> UnionBoundResult:
+def union_bound(config: SystemConfig, model: GGNoiseModel, l: int) -> UnionBoundResult:
     """BER union bound for user l under uniform symbol probabilities.
 
     Each hypothesis-pair probability is the uniform average of the exact PEP
@@ -367,12 +277,10 @@ def union_bound(
     q = len(phi).bit_length() - 1
     if 2**q != len(phi):
         raise DomainError("union bound needs a power-of-two constellation size")
-    if pep_fn is None:
-        pep_fn = lambda ev: pep_exact(ev, model, quad)  # noqa: E731
     pair_prob: dict = {}
     for ev, weight in enumerate_error_events(config, l):
         key = (ev.x_l, ev.x_check_l)
-        pair_prob[key] = pair_prob.get(key, 0.0) + weight * pep_fn(ev).value
+        pair_prob[key] = pair_prob.get(key, 0.0) + weight * pep_exact(ev, model).value
     contributions = tuple(
         (x, x_check, _bit_errors(config, x, x_check), prob)
         for (x, x_check), prob in sorted(pair_prob.items())

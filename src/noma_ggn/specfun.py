@@ -16,10 +16,8 @@ __all__ = [
     "QuadratureError",
     "QuadratureSpec",
     "QuadratureResult",
-    "ln_gamma",
     "lower_incomplete_gamma_reg",
     "upper_incomplete_gamma_reg",
-    "erfc",
     "erfcx",
     "integrate_semi_infinite",
 ]
@@ -63,20 +61,6 @@ class QuadratureResult(NamedTuple):
 def _check_finite(name, x):
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    _check_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    _check_finite("x", x)
-    return math.erfc(x)
 
 
 def erfcx(x: float) -> float:

@@ -12,7 +12,6 @@ import pytest
 import scipy.stats as st
 
 from noma_ggn import (
-    DecisionNoise,
     GGNoiseModel,
     SystemConfig,
     build_error_event,
@@ -20,7 +19,6 @@ from noma_ggn import (
     conditional_pep,
     diversity_order,
     enumerate_error_events,
-    erfc,
     estimate_pep_mc,
     pep_closed_form,
     pep_direct,
@@ -29,8 +27,10 @@ from noma_ggn import (
     union_bound,
 )
 from noma_ggn.ggd import stream_rng
+from noma_ggn.mc import _ber_block
 
 from conftest import record_criterion
+from oracles import DecisionNoise, block_range_counts
 
 GRID_DB = tuple(float(v) for v in range(0, 45, 5))
 
@@ -195,7 +195,7 @@ def test_criterion_7_gaussian_reduction():
         ev = events[int(rng.integers(0, len(events)))]
         h = float(rng.uniform(0.01, 10.0))
         lam = DecisionNoise.from_event(ev, h).lambda_sub
-        oracle = 0.5 * erfc(lam * h * h * abs(ev.upsilon))
+        oracle = 0.5 * math.erfc(lam * h * h * abs(ev.upsilon))
         if ev.mu == 0:
             oracle = 1.0 - oracle
         worst = max(worst, abs(conditional_pep(ev, model, h) - oracle))
@@ -207,15 +207,20 @@ def test_criterion_7_gaussian_reduction():
 
 
 def test_criterion_8_partition_determinism():
-    """simulate_ber is bit-identical for 1, 4 and 16 partitions."""
+    """simulate_ber's counts equal its per-block function summed over 1, 4
+    and 16 contiguous block ranges."""
     cfg = three_user(db(20.0), 2.0)
     model = GGNoiseModel.normalized(2.0)
+    trials, seed = 5 * 10**5, 1
+    points = [e.point for e in simulate_ber(cfg, model, trials=trials, seed=seed)]
     runs = [
-        [e.point for e in simulate_ber(cfg, model, trials=5 * 10**5, seed=1, partitions=p)]
-        for p in (1, 4, 16)
+        block_range_counts(
+            lambda rng, n: _ber_block(cfg, model, rng, n), seed, trials, ranges
+        )
+        for ranges in (1, 4, 16)
     ]
-    passed = runs[0] == runs[1] == runs[2]
+    passed = all([int(c) / trials for c in counts] == points for counts in runs)
     record_criterion(
-        8, passed, "simulate_ber bit-identical across 1/4/16 partitions"
+        8, passed, "simulate_ber counts equal the block sums over 1/4/16 block ranges"
     )
     assert passed

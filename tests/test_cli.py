@@ -13,12 +13,6 @@ from noma_ggn.cli import (
 FAST = "trials=20000\nsnr_db=0:10:20\n"
 
 
-@pytest.fixture(autouse=True)
-def single_worker(monkeypatch):
-    # pin the partition count so CSV comparisons are stable on any machine
-    monkeypatch.setenv("NOMA_GGN_WORKERS", "2")
-
-
 class TestParseConfig:
     def test_reference_document(self):
         params = parse_config("users=3\npower=0.7,0.2,0.1\nalpha=2\nsnr_db=0:5:40")
@@ -153,6 +147,21 @@ class TestMain:
         slopes = [float(line.split(",")[4]) for line in lines[1:]]
         for l, slope in enumerate(slopes, start=1):
             assert abs(slope - l) <= 0.25
+
+    def test_diversity_high_snr_windows(self, tmp_path, capsys):
+        # the closed form's alternating sum cancels for user 3 above ~75 dB
+        # (a slope of 2.35 over 90-110 dB, a negative PEP at 118 dB); the
+        # slopes come from pep_exact and hold at alpha = 2
+        cfg = tmp_path / "high.cfg"
+        cfg.write_text("alpha=2\nsnr_db=90:20:110\n")
+        assert main(["diversity", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        slopes = [float(line.split(",")[4]) for line in lines[1:]]
+        assert len(slopes) == 3
+        for l, slope in enumerate(slopes, start=1):
+            assert abs(slope - l) <= 1e-3
+        cfg.write_text("alpha=2\nsnr_db=100:18:118\n")
+        assert main(["diversity", str(cfg)]) == 0
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -12,7 +12,9 @@ from noma_ggn import (
     simulate_ber,
     wilson_interval,
 )
+from noma_ggn.mc import _ber_block, _pep_block
 from noma_ggn.specfun import DomainError
+from oracles import block_range_counts
 
 
 def three_user(gamma_bar, alpha=2.0):
@@ -63,11 +65,13 @@ class TestEstimatePepMc:
         cfg = three_user(db(10.0))
         model = GGNoiseModel.normalized(2.0)
         ev = canonical_event(cfg, 1)
-        points = {
-            estimate_pep_mc(ev, cfg, model, trials=200000, seed=3, partitions=p).point
-            for p in (1, 4, 16)
-        }
-        assert len(points) == 1
+        trials = 200000
+        est = estimate_pep_mc(ev, cfg, model, trials=trials, seed=3)
+        for ranges in (1, 4, 16):
+            errors = block_range_counts(
+                lambda rng, n: _pep_block(ev, cfg, model, rng, n), 3, trials, ranges
+            )
+            assert errors / trials == est.point
 
     def test_wilson_coverage(self):
         # 95% intervals must contain the analytic value in >= 90% of seeds
@@ -98,12 +102,13 @@ class TestSimulateBer:
     def test_bit_identical_across_partitions(self):
         cfg = three_user(db(15.0), 1.0)
         model = GGNoiseModel.normalized(1.0)
-        runs = [
-            simulate_ber(cfg, model, trials=3 * (1 << 16) + 1234, seed=7, partitions=p)
-            for p in (1, 4, 16)
-        ]
-        for other in runs[1:]:
-            assert [e.point for e in other] == [e.point for e in runs[0]]
+        trials = 3 * (1 << 16) + 1234  # a partial last block
+        points = [e.point for e in simulate_ber(cfg, model, trials=trials, seed=7)]
+        for ranges in (1, 4, 16):
+            counts = block_range_counts(
+                lambda rng, n: _ber_block(cfg, model, rng, n), 7, trials, ranges
+            )
+            assert [int(c) / trials for c in counts] == points
 
     def test_repeatable(self):
         cfg = three_user(db(10.0))

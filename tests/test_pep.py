@@ -9,9 +9,7 @@ import scipy.integrate as si
 import scipy.special as sps
 
 from noma_ggn import (
-    DecisionNoise,
     GGNoiseModel,
-    MeijerOracleSpec,
     NumericFailure,
     SystemConfig,
     build_error_event,
@@ -24,7 +22,9 @@ from noma_ggn import (
     pep_exact,
     union_bound,
 )
+from noma_ggn.pep import _kappa, _t1_t2_sum
 from noma_ggn.specfun import DomainError
+from oracles import DecisionNoise
 
 
 def three_user(gamma_bar, alpha=2.0):
@@ -131,16 +131,14 @@ class TestPepExact:
             assert direct == pytest.approx(exact, rel=1e-8)
 
     def test_value_reconstructs_from_diagnostics(self):
+        # the term-wise T1/T2 sum (pep_exact's mu = 0 route) and the combined
+        # constructive integrand (its mu = 1 route) agree on a mu = 1 event
         model = GGNoiseModel.normalized(1.0)
         cfg = three_user(db(10.0), 1.0)
         ev = canonical_event(cfg, 2)
+        assert ev.mu == 1
         res = pep_exact(ev, model)
-        gamma_inv_a = math.gamma(1.0)
-        acc = sum(
-            math.comb(ev.l - 1, t.i) * (-1.0) ** t.i * (t1 + (-1.0) ** ev.mu * t2)
-            for t, t1, t2 in res.terms
-        )
-        rebuilt = res.terms[0][0].a_l / (2.0 * gamma_inv_a) * acc
+        rebuilt = _t1_t2_sum(ev, model.alpha, _kappa(ev, model.lambda0))
         assert rebuilt == pytest.approx(res.value, rel=1e-9)
         assert res.method == "quadrature"
 
@@ -245,14 +243,6 @@ class TestMeijerOracles:
         assert float(g) == pytest.approx(
             math.gamma(0.5) / math.sqrt(4.0 * tau * tau + 1.0), rel=1e-12
         )
-
-    @pytest.mark.parametrize(
-        "alpha,k,t", [(1.0, 2, 1), (2.0, 1, 1), (0.5, 4, 1), (4.0, 1, 2)]
-    )
-    def test_order_bookkeeping(self, alpha, k, t):
-        spec = MeijerOracleSpec.for_alpha(alpha)
-        assert (spec.k, spec.t) == (k, t)
-        assert spec.k * alpha / 2.0 == pytest.approx(spec.t)
 
 
 class TestUnionBound:

@@ -12,10 +12,8 @@ from noma_ggn.specfun import (
     DomainError,
     QuadratureError,
     QuadratureSpec,
-    erfc,
     erfcx,
     integrate_semi_infinite,
-    ln_gamma,
     lower_incomplete_gamma_reg,
     upper_incomplete_gamma_reg,
 )
@@ -37,28 +35,6 @@ def erf_series(x: float) -> float:
             n += 1
             term *= -z * z / n
         return float(2 / mpmath.sqrt(mpmath.pi) * total)
-
-
-class TestLnGamma:
-    @pytest.mark.parametrize(
-        "x,expected",
-        [
-            (0.5, math.log(math.sqrt(math.pi))),
-            (3.0, math.log(2.0)),
-            (1.0, 0.0),
-        ],
-    )
-    def test_known_values(self, x, expected):
-        assert ln_gamma(x) == pytest.approx(expected, abs=1e-13)
-
-    @pytest.mark.parametrize("x", np.geomspace(1e-3, 170, 40))
-    def test_accuracy_range(self, x):
-        assert ln_gamma(x) == pytest.approx(float(sps.gammaln(x)), rel=1e-13)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            ln_gamma(x)
 
 
 class TestIncompleteGamma:
@@ -114,22 +90,6 @@ class TestIncompleteGamma:
     def test_domain(self, a, x):
         with pytest.raises(DomainError):
             lower_incomplete_gamma_reg(a, x)
-
-
-class TestErfc:
-    def test_known_values(self):
-        assert erfc(0.0) == 1.0
-        assert erfc(40.0) == 0.0  # double underflow: the +inf limit
-        assert erfc(1.0) == pytest.approx(0.1572992071, abs=1e-9)
-
-    @pytest.mark.parametrize("x", np.linspace(-5.0, 5.0, 21))
-    def test_reflection_and_series(self, x):
-        assert erfc(-x) == pytest.approx(2.0 - erfc(x), abs=1e-12)
-        assert erfc(x) + erf_series(x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            erfc(math.nan)
 
 
 class TestErfcx:
