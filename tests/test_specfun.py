@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate as si
 import scipy.special as sps
 
+from noma_ggn.ggd import lambda0
 from noma_ggn.specfun import (
     DomainError,
     QuadratureError,
@@ -35,6 +36,30 @@ def erf_series(x: float) -> float:
             n += 1
             term *= -z * z / n
         return float(2 / mpmath.sqrt(mpmath.pi) * total)
+
+
+class TestLnGamma:
+    # the package takes log-gamma from math.lgamma (lambda0, the incomplete
+    # gammas, the PEP prefactor) and validates the shape alpha where it enters
+    @pytest.mark.parametrize(
+        "x,expected",
+        [
+            (0.5, math.log(math.sqrt(math.pi))),
+            (3.0, math.log(2.0)),
+            (1.0, 0.0),
+        ],
+    )
+    def test_known_values(self, x, expected):
+        assert math.lgamma(x) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("x", np.geomspace(1e-3, 170, 40))
+    def test_accuracy_range(self, x):
+        assert math.lgamma(x) == pytest.approx(float(sps.gammaln(x)), rel=1e-13)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_domain(self, x):
+        with pytest.raises(DomainError):
+            lambda0(x)
 
 
 class TestIncompleteGamma:
@@ -90,6 +115,23 @@ class TestIncompleteGamma:
     def test_domain(self, a, x):
         with pytest.raises(DomainError):
             lower_incomplete_gamma_reg(a, x)
+
+
+class TestErfc:
+    # the package takes erfc from math.erfc, directly and inside erfcx
+    def test_known_values(self):
+        assert math.erfc(0.0) == 1.0
+        assert math.erfc(40.0) == 0.0  # double underflow: the +inf limit
+        assert math.erfc(1.0) == pytest.approx(0.1572992071, abs=1e-9)
+
+    @pytest.mark.parametrize("x", np.linspace(-5.0, 5.0, 21))
+    def test_reflection_and_series(self, x):
+        assert math.erfc(-x) == pytest.approx(2.0 - math.erfc(x), abs=1e-12)
+        assert math.erfc(x) + erf_series(x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            erfcx(math.nan)
 
 
 class TestErfcx:
