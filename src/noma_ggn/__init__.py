@@ -35,7 +35,6 @@ from .pep import (
 from .specfun import (
     DomainError,
     QuadratureError,
-    QuadratureSpec,
     erfcx,
     integrate_semi_infinite,
     lower_incomplete_gamma_reg,
@@ -56,7 +55,6 @@ __all__ = [
     "OrderStatsTerm",
     "PepResult",
     "QuadratureError",
-    "QuadratureSpec",
     "SystemConfig",
     "UnionBoundResult",
     "build_error_event",

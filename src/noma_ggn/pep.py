@@ -2,10 +2,11 @@
 
 The exact per-user PEP averages the conditional pairwise decision
 probability over the ordered Rayleigh gain of that user. Two equivalent
-routes are provided: the term-wise T1/T2 quadrature expansion and direct
-averaging of the conditional PEP against the order-statistics density; the
-alpha = 1 (Laplacian) and alpha = 2 (Gaussian) closed forms serve as
-independent cross-checks.
+routes are provided: one cancellation-free quadrature of the constructive
+integrand (destructive events are one minus it) and direct averaging of the
+conditional PEP against the order-statistics density; the alpha = 1
+(Laplacian) and alpha = 2 (Gaussian) closed forms serve as independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .ggd import GGNoiseModel, lambda0
 from .noma import ErrorEvent, SystemConfig, build_error_event, enumerate_error_events
 from .specfun import (
     DomainError,
-    QuadratureSpec,
     erfcx,
     integrate_semi_infinite,
     lower_incomplete_gamma_reg,
@@ -41,12 +41,6 @@ __all__ = [
     "diversity_order",
     "canonical_event",
 ]
-
-# Every PEP integral is driven by relative error: PEP values span hundreds of
-# orders of magnitude, so a larger absolute floor would let tiny
-# probabilities converge to noise.
-_QUAD = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-10, max_subdivisions=200)
-
 
 class NumericFailure(RuntimeError):
     """A numeric pipeline stage produced an unusable value."""
@@ -109,43 +103,13 @@ def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
     return 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
 
 
-def _t2_term(alpha: float, kappa: float, delta: int) -> float:
-    """T2 for one order-statistics term:
-    (alpha kappa / delta) * int_0^inf exp(-(kappa w)^alpha - delta w^2 / 2) dw.
-    """
-
-    def integrand(w: float) -> float:
-        return math.exp(-((kappa * w) ** alpha) - 0.5 * delta * w * w)
-
-    val, _ = integrate_semi_infinite(integrand, _QUAD)
-    return alpha * kappa / delta * val
-
-
-def _t1_t2_sum(event: ErrorEvent, alpha: float, kappa: float) -> float:
-    """Unconditional PEP by the term-wise expansion
-    A_l/(2 Gamma(1/a)) * sum_i C(l-1,i) (-1)^i [T1 + (-1)^mu T2] with
-    T1 = Gamma(1/a) / delta and T2 from _t2_term.
-
-    Accurate for destructive (mu = 0) events; for mu = 1 the sum cancels to
-    l-th order at high SNR (see _constructive_value).
-    """
-    gamma_inv_a = math.exp(math.lgamma(1.0 / alpha))
-    terms = order_terms(event.L, event.l)
-    acc = 0.0
-    for term in terms:
-        t1 = gamma_inv_a / term.delta
-        t2 = _t2_term(alpha, kappa, term.delta)
-        sign = (-1.0) ** term.i * math.comb(event.l - 1, term.i)
-        acc += sign * (t1 + (-1.0) ** event.mu * t2)
-    return terms[0].a_l / (2.0 * gamma_inv_a) * acc
-
-
 def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> float:
-    """Unconditional PEP of a constructive (mu = 1) event via the combined
-    nonnegative integrand.
+    """Unconditional PEP of a constructive (mu = 1) event at decay scale kappa
+    via the combined nonnegative integrand.
 
-    Summing T1 - T2 over the alternating order-statistics terms cancels to
-    l-th order at high SNR; folding the sum into the integrand first gives
+    The paper's term-wise sum of T1 - T2 over the alternating
+    order-statistics terms cancels to l-th order at high SNR; folding the sum
+    into the integrand first gives
     A_l/(2 Gamma(1/a)) * alpha kappa * int exp(-(kappa w)^a) B(w) dw with
     B(w) = int_0^W u^(l-1) (1-u)^(L-l) du, W = 1 - exp(-w^2/2), which has no
     cancellation at any SNR.
@@ -163,31 +127,33 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> float:
             wp *= big_w
         return math.exp(-((kappa * w) ** alpha)) * beta
 
-    val, _ = integrate_semi_infinite(integrand, _QUAD)
+    val, _ = integrate_semi_infinite(integrand)
     a_l = order_terms(L, l)[0].a_l
     return a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa * val
 
 
 def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
-    """Unconditional PEP by the T1/T2 quadrature expansion: the term-wise sum
-    for destructive (mu = 0) events, the combined integrand for constructive
-    (mu = 1) ones."""
-    kappa = _kappa(event, model.lambda0)
-    if event.mu:
-        value = _constructive_value(event, model.alpha, kappa)
-    else:
-        value = _t1_t2_sum(event, model.alpha, kappa)
+    """Unconditional PEP by one quadrature of the constructive integrand.
+
+    The destructive (mu = 0) conditional PEP 1/2 (1 + P(1/a, z)) is
+    1 - 1/2 Q(1/a, z), one minus the constructive one at the same kappa, and
+    the ordered-gain density integrates to one; so a destructive event is one
+    minus the constructive value.
+    """
+    value = _constructive_value(event, model.alpha, _kappa(event, model.lambda0))
+    if not event.mu:
+        value = 1.0 - value
     return PepResult(value=value, method="quadrature")
 
 
 def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     """Unconditional PEP by direct averaging of the conditional PEP over the
-    ordered-gain density. Independent of the T1/T2 route."""
+    ordered-gain density. Independent of pep_exact's integrand."""
 
     def integrand(w: float) -> float:
         return conditional_pep(event, model, w) * ordered_pdf(event.L, event.l, w)
 
-    val, _ = integrate_semi_infinite(integrand, _QUAD)
+    val, _ = integrate_semi_infinite(integrand)
     return PepResult(value=val, method="direct")
 
 

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noma_ggn import ErrorEvent, lambda0, stream_rng
+from noma_ggn import ErrorEvent, lambda0, order_terms, stream_rng
 from noma_ggn.mc import BLOCK_TRIALS
-from noma_ggn.specfun import DomainError
+from noma_ggn.specfun import DomainError, integrate_semi_infinite
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,37 @@ class DecisionNoise:
             lambda_sub=math.sqrt(lam0) / (math.sqrt(2.0) * amp * h * dc),
             sigma_N2=2.0 * amp * amp * h * h * dc * dc,
         )
+
+
+def t2_term(alpha: float, kappa: float, delta: int) -> float:
+    """T2 for one order-statistics term:
+    (alpha kappa / delta) * int_0^inf exp(-(kappa w)^alpha - delta w^2 / 2) dw.
+    """
+
+    def integrand(w: float) -> float:
+        return math.exp(-((kappa * w) ** alpha) - 0.5 * delta * w * w)
+
+    val, _ = integrate_semi_infinite(integrand)
+    return alpha * kappa / delta * val
+
+
+def t1_t2_sum(event: ErrorEvent, alpha: float, kappa: float) -> float:
+    """Unconditional PEP by the paper's term-wise expansion
+    A_l/(2 Gamma(1/a)) * sum_i C(l-1,i) (-1)^i [T1 + (-1)^mu T2] with
+    T1 = Gamma(1/a) / delta and T2 from t2_term.
+
+    Accurate for destructive (mu = 0) events; for mu = 1 the sum cancels to
+    l-th order at high SNR, so compare it there only at moderate SNR.
+    """
+    gamma_inv_a = math.exp(math.lgamma(1.0 / alpha))
+    terms = order_terms(event.L, event.l)
+    acc = 0.0
+    for term in terms:
+        t1 = gamma_inv_a / term.delta
+        t2 = t2_term(alpha, kappa, term.delta)
+        sign = (-1.0) ** term.i * math.comb(event.l - 1, term.i)
+        acc += sign * (t1 + (-1.0) ** event.mu * t2)
+    return terms[0].a_l / (2.0 * gamma_inv_a) * acc
 
 
 def block_range_counts(block_fn, seed: int, trials: int, ranges: int):

@@ -63,7 +63,8 @@ def test_criterion_1_closed_form_consistency():
 
 
 def test_criterion_2_path_equivalence():
-    """T1/T2 expansion equals direct conditional-PEP averaging."""
+    """Quadrature of the constructive integrand equals direct conditional-PEP
+    averaging."""
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         model = GGNoiseModel.normalized(alpha)
@@ -76,7 +77,9 @@ def test_criterion_2_path_equivalence():
                     worst = max(worst, abs(direct - exact) / exact)
     passed = worst <= 1e-8
     record_criterion(
-        2, passed, f"T1/T2 vs direct averaging, worst rel err {worst:.3e} (<= 1e-8)"
+        2,
+        passed,
+        f"quadrature vs direct averaging, worst rel err {worst:.3e} (<= 1e-8)",
     )
     assert passed
 

@@ -22,9 +22,9 @@ from noma_ggn import (
     pep_exact,
     union_bound,
 )
-from noma_ggn.pep import _kappa, _t1_t2_sum
+from noma_ggn.pep import _kappa
 from noma_ggn.specfun import DomainError
-from oracles import DecisionNoise
+from oracles import DecisionNoise, t1_t2_sum
 
 
 def three_user(gamma_bar, alpha=2.0):
@@ -131,16 +131,26 @@ class TestPepExact:
             assert direct == pytest.approx(exact, rel=1e-8)
 
     def test_value_reconstructs_from_diagnostics(self):
-        # the term-wise T1/T2 sum (pep_exact's mu = 0 route) and the combined
-        # constructive integrand (its mu = 1 route) agree on a mu = 1 event
+        # the paper's term-wise T1/T2 sum agrees with pep_exact on a mu = 1
+        # event and on a mu = 0 one (user 2 with user 1's symbol mis-detected)
         model = GGNoiseModel.normalized(1.0)
         cfg = three_user(db(10.0), 1.0)
-        ev = canonical_event(cfg, 2)
-        assert ev.mu == 1
-        res = pep_exact(ev, model)
-        rebuilt = _t1_t2_sum(ev, model.alpha, _kappa(ev, model.lambda0))
-        assert rebuilt == pytest.approx(res.value, rel=1e-9)
-        assert res.method == "quadrature"
+        constructive = canonical_event(cfg, 2)
+        destructive = build_error_event(
+            cfg,
+            2,
+            x_l=1.0,
+            x_check_l=-1.0,
+            sic_detected=(1.0,),
+            interferers=(1.0,),
+            sic_transmitted=(-1.0,),
+        )
+        assert (constructive.mu, destructive.mu) == (1, 0)
+        for ev in (constructive, destructive):
+            res = pep_exact(ev, model)
+            rebuilt = t1_t2_sum(ev, model.alpha, _kappa(ev, model.lambda0))
+            assert rebuilt == pytest.approx(res.value, rel=1e-9)
+            assert res.method == "quadrature"
 
     def test_monotone_in_snr(self):
         model = GGNoiseModel.normalized(1.0)
@@ -158,6 +168,18 @@ class TestPepExact:
                 for ev, _ in enumerate_error_events(cfg, l):
                     v = pep_exact(ev, model).value
                     assert -1e-9 <= v <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "a,alpha,snr_db",
+        [((0.34, 0.33, 0.33), 1.0, 80.0), ((0.45, 0.3, 0.25), 7.0, 120.0)],
+    )
+    def test_range_strict(self, a, alpha, snr_db):
+        # high SNR puts destructive PEPs a hair below one: no slack above it
+        model = GGNoiseModel.normalized(alpha)
+        cfg = SystemConfig(a=a, gamma_bar=db(snr_db), noise_alpha=alpha)
+        for l in (1, 2, 3):
+            for ev, _ in enumerate_error_events(cfg, l):
+                assert 0.0 <= pep_exact(ev, model).value <= 1.0
 
 
 class TestClosedForm:
