@@ -20,22 +20,30 @@ TRIALS = 100_000
 
 
 def main():
+    grid = range(0, 45, 10)
+    users = (1, 2, 3)
     for alpha in (0.5, 1.0, 2.0):
         model = GGNoiseModel.normalized(alpha)
+        events = [
+            canonical_event(
+                SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=10.0 ** (snr_db / 10.0), noise_alpha=alpha),
+                l,
+            )
+            for snr_db in grid
+            for l in users
+        ]
+        # one Monte Carlo call per alpha: every point shares each block's draws
+        estimates = estimate_pep_mc(events, model, trials=TRIALS, seed=1)
         print(f"\nalpha = {alpha}")
-        print(f"{'snr_db':>7} " + " ".join(f"{f'user {l}':>24}" for l in (1, 2, 3)))
-        for snr_db in range(0, 45, 10):
-            gamma_bar = 10.0 ** (snr_db / 10.0)
-            cfg = SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=gamma_bar, noise_alpha=alpha)
-            cells = []
-            for l in (1, 2, 3):
-                ev = canonical_event(cfg, l)
-                analytic = pep_exact(ev, model).value
-                mc = estimate_pep_mc(ev, cfg, model, trials=TRIALS, seed=1).point
-                cells.append(f"{analytic:11.4e}/{mc:10.4e}")
+        print(f"{'snr_db':>7} " + " ".join(f"{f'user {l}':>24}" for l in users))
+        for i, snr_db in enumerate(grid):
+            row = slice(i * len(users), (i + 1) * len(users))
+            cells = [
+                f"{pep_exact(ev, model).value:11.4e}/{mc.point:10.4e}"
+                for ev, mc in zip(events[row], estimates[row])
+            ]
             print(f"{snr_db:>7} " + " ".join(f"{c:>24}" for c in cells))
     print("\ncolumns: analytic / Monte Carlo point estimate")
-
 
 if __name__ == "__main__":
     main()

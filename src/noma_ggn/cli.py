@@ -278,40 +278,38 @@ def run_sweep(params: RunParams, metrics: tuple) -> list:
                         SweepRecord(mid, l, metric, params.alpha, est.d_s)
                     )
                 continue
-            for db in params.snr_db:
-                config = params.system_config(_db_to_linear(db))
-                if metric == "ber_sim":
-                    estimates = simulate_ber(config, model, params.trials, params.seed)
-                    for l, est in zip(users, estimates):
-                        records.append(
-                            SweepRecord(
-                                db, l, metric, params.alpha,
-                                est.point, est.ci_low, est.ci_high,
-                            )
-                        )
-                    continue
+            grid = [(db, params.system_config(_db_to_linear(db))) for db in params.snr_db]
+            if metric in ("pep_mc", "ber_sim"):
+                # one estimator call per metric: all (SNR, user) points share
+                # each block's draws
+                points = [(db, l) for db, _ in grid for l in users]
+                if metric == "pep_mc":
+                    estimates = estimate_pep_mc(
+                        [canonical_event(config, l) for _, config in grid for l in users],
+                        model, trials=params.trials, seed=params.seed,
+                    )
+                else:
+                    per_config = simulate_ber(
+                        [config for _, config in grid],
+                        model, trials=params.trials, seed=params.seed,
+                    )
+                    estimates = [est for row in per_config for est in row]
+                records.extend(
+                    SweepRecord(db, l, metric, params.alpha, est.point, est.ci_low, est.ci_high)
+                    for (db, l), est in zip(points, estimates)
+                )
+                continue
+            for db, config in grid:
                 for l in users:
                     if metric == "pep_analytic":
                         value = pep_exact(canonical_event(config, l), model).value
-                        rec = SweepRecord(db, l, metric, params.alpha, value)
                     elif metric == "pep_closed":
                         value = pep_closed_form(canonical_event(config, l), params.alpha).value
-                        rec = SweepRecord(db, l, metric, params.alpha, value)
-                    elif metric == "pep_mc":
-                        est = estimate_pep_mc(
-                            canonical_event(config, l), config, model,
-                            params.trials, params.seed,
-                        )
-                        rec = SweepRecord(
-                            db, l, metric, params.alpha,
-                            est.point, est.ci_low, est.ci_high,
-                        )
                     elif metric == "ber_union":
-                        result = union_bound(config, model, l)
-                        rec = SweepRecord(db, l, metric, params.alpha, result.p_ub)
+                        value = union_bound(config, model, l).p_ub
                     else:
                         raise ConfigError(f"unknown metric {metric!r}")
-                    records.append(rec)
+                    records.append(SweepRecord(db, l, metric, params.alpha, value))
         except (QuadratureError, NumericFailure) as exc:
             raise NumericFailure(f"metric {metric!r}: {exc}") from exc
     records.sort(key=lambda r: (r.snr_db, r.user, r.metric))

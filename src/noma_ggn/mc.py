@@ -4,12 +4,18 @@ Trials are processed in fixed-size logical blocks, each drawing from its own
 (seed, block-index) stream through a per-block function. Error counts are
 integers and merging is plain summation, so the counts are the same for any
 split of the blocks into ranges and any order of visiting them.
+
+Each estimator takes a sequence of sweep points (events or configurations)
+and draws every block once for all of them, so a one-point call is a
+one-element sequence and an N-point call gives the counts of N one-point
+calls at the same seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,80 +78,103 @@ def _decision_noise_model(alpha: float) -> GGNoiseModel:
     return GGNoiseModel(alpha=alpha, sigma2=0.5)
 
 
-def _pep_block(
-    event: ErrorEvent, config: SystemConfig, model: GGNoiseModel, rng: np.random.Generator, n: int
-) -> int:
-    """Pairwise decision errors in one block of n trials drawn from rng."""
-    h = sample_ordered_gains(config.L, rng, n)[:, event.l - 1]
-    nn = _decision_noise_model(model.alpha).sample(rng, size=n)
-    lhs = (h * event.zeta + nn) ** 2
-    rhs = (h * event.X + nn) ** 2
-    return int(np.count_nonzero(lhs <= rhs))
+def _check_shared(values, what: str) -> None:
+    """The block draws depend on `what`, so every sweep point must agree on
+    it; there must be at least one point."""
+    if len(set(values)) != 1:
+        raise DomainError(f"sweep points must share one {what}, got {sorted(set(values))}")
 
 
-def estimate_pep_mc(
-    event: ErrorEvent,
-    config: SystemConfig,
-    model: GGNoiseModel,
-    trials: int,
-    seed: int,
-) -> McEstimate:
-    """Frequency of the pairwise decision error for a frozen event.
-
-    Per trial: draw the l-th ordered Rayleigh gain h and unit-variance noise
-    n with the model's shaping parameter, and count
-    (h zeta + n)^2 <= (h X + n)^2. The interference context (X, zeta) stays
-    fixed, matching the conditional pairwise experiment.
-    """
+def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int) -> np.ndarray:
+    """block_fn's error counts summed over the (seed, block) streams."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
-    errors = sum(
-        _pep_block(event, config, model, stream_rng(seed, block), n)
+    return sum(
+        block_fn(points, model, stream_rng(seed, block), n)
         for block, n in enumerate(_block_sizes(trials))
     )
-    return McEstimate.from_counts(errors, trials, seed)
 
 
-def _ber_block(
-    config: SystemConfig, model: GGNoiseModel, rng: np.random.Generator, n: int
+def _pep_block(
+    events: Sequence[ErrorEvent], model: GGNoiseModel, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Per-user bit errors (int64, length L) in one block of n trials drawn
-    from rng."""
-    L = config.L
-    phi = np.asarray(config.constellation)
-    amps = np.array([config.amplitude(k) for k in range(1, L + 1)])
-    errors = np.zeros(L, dtype=np.int64)
-    gains = sample_ordered_gains(L, rng, n)
-    symbols = phi[rng.integers(0, len(phi), size=(n, L))]
-    nn = _decision_noise_model(model.alpha).sample(rng, size=(n, L))
-    composite = symbols @ amps
-    for l in range(1, L + 1):
-        h = gains[:, l - 1]
-        resid = h * composite + nn[:, l - 1]
-        for k in range(1, l + 1):
-            decided = nearest_symbol(phi, resid, amps[k - 1] * h)
-            if k < l:
-                resid = resid - amps[k - 1] * h * decided
-        errors[l - 1] = np.count_nonzero(decided != symbols[:, l - 1])
+    """Pairwise decision errors per event (int64) in one block of n trials
+    drawn from rng; every event sees the same gains and noise."""
+    gains = sample_ordered_gains(events[0].L, rng, n)
+    nn = _decision_noise_model(model.alpha).sample(rng, size=n)
+    errors = np.empty(len(events), dtype=np.int64)
+    for i, event in enumerate(events):
+        h = gains[:, event.l - 1]
+        lhs = (h * event.zeta + nn) ** 2
+        rhs = (h * event.X + nn) ** 2
+        errors[i] = np.count_nonzero(lhs <= rhs)
     return errors
 
 
-def simulate_ber(
-    config: SystemConfig,
+def estimate_pep_mc(
+    events: Sequence[ErrorEvent],
     model: GGNoiseModel,
     trials: int,
     seed: int,
 ) -> tuple:
-    """End-to-end SIC bit error rate per user.
+    """Frequency of the pairwise decision error for each frozen event.
+
+    Per trial: draw the ordered Rayleigh gains and unit-variance noise n
+    with the model's shaping parameter; event i takes the gain h of its user
+    l and counts (h zeta + n)^2 <= (h X + n)^2. The interference context
+    (X, zeta) stays fixed, matching the conditional pairwise experiment.
+    All events share each block's draws (common random numbers), so they
+    must have one user count. Returns one McEstimate per event.
+    """
+    _check_shared([ev.L for ev in events], "user count")
+    errors = _count_blocks(_pep_block, events, model, trials, seed)
+    return tuple(McEstimate.from_counts(int(e), trials, seed) for e in errors)
+
+
+def _ber_block(
+    configs: Sequence[SystemConfig], model: GGNoiseModel, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Per-config, per-user bit errors (int64, shape (configs, L)) in one
+    block of n trials drawn from rng; every config sees the same gains,
+    symbols and noise."""
+    L = configs[0].L
+    phi = np.asarray(configs[0].constellation)
+    errors = np.zeros((len(configs), L), dtype=np.int64)
+    gains = sample_ordered_gains(L, rng, n)
+    symbols = phi[rng.integers(0, len(phi), size=(n, L))]
+    nn = _decision_noise_model(model.alpha).sample(rng, size=(n, L))
+    for i, config in enumerate(configs):
+        amps = np.array([config.amplitude(k) for k in range(1, L + 1)])
+        composite = symbols @ amps
+        for l in range(1, L + 1):
+            h = gains[:, l - 1]
+            resid = h * composite + nn[:, l - 1]
+            for k in range(1, l + 1):
+                decided = nearest_symbol(phi, resid, amps[k - 1] * h)
+                if k < l:
+                    resid = resid - amps[k - 1] * h * decided
+            errors[i, l - 1] = np.count_nonzero(decided != symbols[:, l - 1])
+    return errors
+
+
+def simulate_ber(
+    configs: Sequence[SystemConfig],
+    model: GGNoiseModel,
+    trials: int,
+    seed: int,
+) -> tuple:
+    """End-to-end SIC bit error rate per user, for each configuration.
 
     Each trial draws one ordered gain vector (users assigned by order),
     uniform symbols for every user, and independent unit-variance noise per
     receiver; user l runs SIC through its own layer and its decision is
-    compared to its transmitted symbol. Returns one McEstimate per user.
+    compared to its transmitted symbol. All configs share each block's draws
+    (common random numbers), so they must have one user count and one
+    constellation. Returns, per config, a tuple of one McEstimate per user.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
-    errors = np.zeros(config.L, dtype=np.int64)
-    for block, n in enumerate(_block_sizes(trials)):
-        errors += _ber_block(config, model, stream_rng(seed, block), n)
-    return tuple(McEstimate.from_counts(int(e), trials, seed) for e in errors)
+    _check_shared([c.L for c in configs], "user count")
+    _check_shared([c.constellation for c in configs], "constellation")
+    errors = _count_blocks(_ber_block, configs, model, trials, seed)
+    return tuple(
+        tuple(McEstimate.from_counts(int(e), trials, seed) for e in row) for row in errors
+    )

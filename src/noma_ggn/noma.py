@@ -108,10 +108,15 @@ def superpose(config: SystemConfig, symbols: Sequence[float]) -> float:
 
 def nearest_symbol(phi: np.ndarray, residual: np.ndarray, c: np.ndarray) -> np.ndarray:
     """One SIC layer, row by row: the point of the ascending constellation phi
-    minimizing |residual - c * x|. argmin takes the first minimum, so ties
-    break toward the smaller symbol."""
-    dist = np.abs(residual[:, None] - c[:, None] * phi[None, :])
-    return phi[np.argmin(dist, axis=1)]
+    minimizing |residual - c * x|. A row moves to a later point only when
+    that point is strictly closer, so ties break toward the smaller symbol."""
+    decided = np.full(residual.shape, phi[0])
+    best = np.abs(residual - c * phi[0])
+    for x in phi[1:]:
+        dist = np.abs(residual - c * x)
+        np.copyto(decided, x, where=dist < best)
+        np.minimum(best, dist, out=best)
+    return decided
 
 
 def sic_receive(config: SystemConfig, received: float, h: float, l: int) -> tuple:

@@ -32,6 +32,13 @@ class DecisionNoise:
         )
 
 
+def nearest_symbol_argmin(phi: np.ndarray, residual: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """SIC decision by the full (n, m) distance matrix: argmin takes the
+    first minimum of |residual - c * x|, so ties go to the smaller symbol."""
+    dist = np.abs(residual[:, None] - c[:, None] * phi[None, :])
+    return phi[np.argmin(dist, axis=1)]
+
+
 def t2_term(alpha: float, kappa: float, delta: int) -> float:
     """T2 for one order-statistics term:
     (alpha kappa / delta) * int_0^inf exp(-(kappa w)^alpha - delta w^2 / 2) dw.

@@ -90,14 +90,13 @@ def test_criterion_3_mc_containment_and_first_user_slope():
     misses = []
     for alpha in (0.5, 1.0, 2.0):
         model = GGNoiseModel.normalized(alpha)
-        for snr_db in (0.0, 10.0, 20.0, 30.0):
-            cfg = three_user(db(snr_db), alpha)
-            for l in (1, 2, 3):
-                ev = canonical_event(cfg, l)
-                analytic = pep_exact(ev, model).value
-                est = estimate_pep_mc(ev, cfg, model, trials=10**6, seed=seed)
-                if not est.ci_low <= analytic <= est.ci_high:
-                    misses.append((alpha, snr_db, l))
+        points = [(snr_db, l) for snr_db in (0.0, 10.0, 20.0, 30.0) for l in (1, 2, 3)]
+        events = [canonical_event(three_user(db(snr_db), alpha), l) for snr_db, l in points]
+        estimates = estimate_pep_mc(events, model, trials=10**6, seed=seed)
+        for (snr_db, l), ev, est in zip(points, events, estimates):
+            analytic = pep_exact(ev, model).value
+            if not est.ci_low <= analytic <= est.ci_high:
+                misses.append((alpha, snr_db, l))
     slopes = {}
     for alpha in (1.0, 2.0):
         curve = {
@@ -149,9 +148,10 @@ def test_criterion_5_union_bound_dominates_simulation():
     failures = []
     for alpha in (1.0, 2.0):
         model = GGNoiseModel.normalized(alpha)
-        for snr_db in (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0):
-            cfg = three_user(db(snr_db), alpha)
-            ests = simulate_ber(cfg, model, trials=10**6, seed=1)
+        grid = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+        configs = [three_user(db(snr_db), alpha) for snr_db in grid]
+        per_config = simulate_ber(configs, model, trials=10**6, seed=1)
+        for snr_db, cfg, ests in zip(grid, configs, per_config):
             for l, est in zip((1, 2, 3), ests):
                 bound = union_bound(cfg, model, l).p_ub
                 if bound < est.ci_low:
@@ -215,11 +215,11 @@ def test_criterion_8_partition_determinism():
     cfg = three_user(db(20.0), 2.0)
     model = GGNoiseModel.normalized(2.0)
     trials, seed = 5 * 10**5, 1
-    points = [e.point for e in simulate_ber(cfg, model, trials=trials, seed=seed)]
+    points = [e.point for e in simulate_ber([cfg], model, trials=trials, seed=seed)[0]]
     runs = [
         block_range_counts(
-            lambda rng, n: _ber_block(cfg, model, rng, n), seed, trials, ranges
-        )
+            lambda rng, n: _ber_block([cfg], model, rng, n), seed, trials, ranges
+        )[0]
         for ranges in (1, 4, 16)
     ]
     passed = all([int(c) / trials for c in counts] == points for counts in runs)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from noma_ggn import GGNoiseModel, canonical_event, estimate_pep_mc, simulate_ber
 from noma_ggn.cli import (
     CSV_HEADER,
     ConfigError,
@@ -108,6 +109,26 @@ class TestRunSweep:
         rows1 = [r.as_csv_row() for r in run_sweep(params, ("pep_mc", "ber_sim"))]
         rows2 = [r.as_csv_row() for r in run_sweep(params, ("pep_mc", "ber_sim"))]
         assert rows1 == rows2
+
+
+    @pytest.mark.parametrize("metric", ["pep_mc", "ber_sim"])
+    def test_mc_rows_match_one_point_calls(self, metric):
+        # the sweep makes one estimator call over all points; each row must
+        # carry the estimate of its own (SNR, user)
+        params = parse_config("trials=5000\nseed=3\nalpha=1\nsnr_db=0:10:20\n")
+        model = GGNoiseModel.normalized(params.alpha)
+        records = run_sweep(params, (metric,))
+        assert len(records) == 9
+        for rec in records:
+            config = params.system_config(10.0 ** (rec.snr_db / 10.0))
+            if metric == "pep_mc":
+                (est,) = estimate_pep_mc(
+                    [canonical_event(config, rec.user)], model, trials=5000, seed=3
+                )
+            else:
+                est = simulate_ber([config], model, trials=5000, seed=3)[0][rec.user - 1]
+            assert (rec.value, rec.ci_low, rec.ci_high) == (est.point, est.ci_low, est.ci_high)
+        assert len({rec.value for rec in records}) > 3
 
 
 class TestMain:

@@ -7,6 +7,7 @@ from noma_ggn import (
     SystemConfig,
     build_error_event,
     canonical_event,
+    enumerate_error_events,
     estimate_pep_mc,
     pep_exact,
     simulate_ber,
@@ -23,6 +24,9 @@ def three_user(gamma_bar, alpha=2.0):
 
 def db(v):
     return 10.0 ** (v / 10.0)
+
+
+PAM4 = (-3.0, -1.0, 1.0, 3.0)
 
 
 class TestWilson:
@@ -47,7 +51,7 @@ class TestEstimatePepMc:
         cfg = SystemConfig(a=(1.0,), gamma_bar=10.0)
         ev = build_error_event(cfg, 1, x_l=1.0, x_check_l=-1.0)
         model = GGNoiseModel.normalized(2.0)
-        est = estimate_pep_mc(ev, cfg, model, trials=10**6, seed=2)
+        (est,) = estimate_pep_mc([ev], model, trials=10**6, seed=2)
         analytic = pep_exact(ev, model).value
         assert est.ci_low <= analytic <= est.ci_high
         assert est.trials == 10**6
@@ -58,7 +62,7 @@ class TestEstimatePepMc:
         ev = canonical_event(cfg, 2)
         analytic = pep_exact(ev, model).value
         for seed in (1, 2):
-            est = estimate_pep_mc(ev, cfg, model, trials=10**6, seed=seed)
+            (est,) = estimate_pep_mc([ev], model, trials=10**6, seed=seed)
             assert est.ci_low <= analytic <= est.ci_high
 
     def test_deterministic_and_partition_invariant(self):
@@ -66,10 +70,10 @@ class TestEstimatePepMc:
         model = GGNoiseModel.normalized(2.0)
         ev = canonical_event(cfg, 1)
         trials = 200000
-        est = estimate_pep_mc(ev, cfg, model, trials=trials, seed=3)
+        (est,) = estimate_pep_mc([ev], model, trials=trials, seed=3)
         for ranges in (1, 4, 16):
-            errors = block_range_counts(
-                lambda rng, n: _pep_block(ev, cfg, model, rng, n), 3, trials, ranges
+            (errors,) = block_range_counts(
+                lambda rng, n: _pep_block([ev], model, rng, n), 3, trials, ranges
             )
             assert errors / trials == est.point
 
@@ -81,7 +85,7 @@ class TestEstimatePepMc:
         analytic = pep_exact(ev, model).value
         hits = 0
         for seed in range(200):
-            est = estimate_pep_mc(ev, cfg, model, trials=1 << 16, seed=seed)
+            (est,) = estimate_pep_mc([ev], model, trials=1 << 16, seed=seed)
             hits += est.ci_low <= analytic <= est.ci_high
         assert hits >= 180
 
@@ -90,31 +94,31 @@ class TestSimulateBer:
     def test_noiseless_decodes_cleanly(self):
         cfg = three_user(1e12)
         model = GGNoiseModel.normalized(2.0)
-        for est in simulate_ber(cfg, model, trials=10**4, seed=1):
+        for est in simulate_ber([cfg], model, trials=10**4, seed=1)[0]:
             assert est.point == 0.0
 
     def test_pure_noise_limit(self):
         cfg = three_user(1e-9)
         model = GGNoiseModel.normalized(2.0)
-        for est in simulate_ber(cfg, model, trials=10**5, seed=4):
+        for est in simulate_ber([cfg], model, trials=10**5, seed=4)[0]:
             assert est.ci_low <= 0.5 <= est.ci_high
 
     def test_bit_identical_across_partitions(self):
         cfg = three_user(db(15.0), 1.0)
         model = GGNoiseModel.normalized(1.0)
         trials = 3 * (1 << 16) + 1234  # a partial last block
-        points = [e.point for e in simulate_ber(cfg, model, trials=trials, seed=7)]
+        points = [e.point for e in simulate_ber([cfg], model, trials=trials, seed=7)[0]]
         for ranges in (1, 4, 16):
-            counts = block_range_counts(
-                lambda rng, n: _ber_block(cfg, model, rng, n), 7, trials, ranges
+            (counts,) = block_range_counts(
+                lambda rng, n: _ber_block([cfg], model, rng, n), 7, trials, ranges
             )
             assert [int(c) / trials for c in counts] == points
 
     def test_repeatable(self):
         cfg = three_user(db(10.0))
         model = GGNoiseModel.normalized(2.0)
-        a = simulate_ber(cfg, model, trials=50000, seed=9)
-        b = simulate_ber(cfg, model, trials=50000, seed=9)
+        (a,) = simulate_ber([cfg], model, trials=50000, seed=9)
+        (b,) = simulate_ber([cfg], model, trials=50000, seed=9)
         assert [e.point for e in a] == [e.point for e in b]
 
     def test_user_ordering(self):
@@ -124,7 +128,7 @@ class TestSimulateBer:
         model = GGNoiseModel.normalized(2.0)
         for snr_db in (20.0, 25.0, 30.0):
             cfg = three_user(db(snr_db))
-            ests = simulate_ber(cfg, model, trials=2 * 10**5, seed=11)
+            (ests,) = simulate_ber([cfg], model, trials=2 * 10**5, seed=11)
             for a, b in zip(ests, ests[1:]):
                 assert a.ci_high >= b.ci_low  # ordering within CI slack
 
@@ -134,10 +138,72 @@ class TestSimulateBer:
 
         cfg = three_user(db(15.0))
         model = GGNoiseModel.normalized(2.0)
-        est = simulate_ber(cfg, model, trials=10**6, seed=12)[0]
+        est = simulate_ber([cfg], model, trials=10**6, seed=12)[0][0]
         bound = union_bound(cfg, model, 1).p_ub
         assert est.ci_low <= bound <= est.ci_high
 
     def test_rejects_no_trials(self):
         with pytest.raises(DomainError):
-            simulate_ber(three_user(1.0), GGNoiseModel.normalized(2.0), 0, 1)
+            simulate_ber([three_user(1.0)], GGNoiseModel.normalized(2.0), 0, 1)
+
+
+class TestSharedDraws:
+    """An N-point call shares each block's draws across its points, so it
+    gives the counts of N one-point calls at the same seed."""
+
+    TRIALS = 3 * (1 << 16) + 1234  # a partial last block
+
+    def test_pep_events_match_one_point_calls(self):
+        model = GGNoiseModel.normalized(1.0)
+        events = [
+            canonical_event(three_user(db(v), 1.0), l)
+            for v in (0.0, 10.0, 25.0)
+            for l in (1, 2, 3)
+        ]
+        # two destructive (mu = 0) events of user 3
+        enumerated = enumerate_error_events(three_user(db(10.0), 1.0), 3)
+        events += [ev for ev, _ in enumerated if ev.mu == 0][:2]
+        shared = estimate_pep_mc(events, model, trials=self.TRIALS, seed=5)
+        single = tuple(
+            estimate_pep_mc([ev], model, trials=self.TRIALS, seed=5)[0] for ev in events
+        )
+        assert shared == single
+        assert len({est.point for est in shared}) > len(events) // 2
+
+    @pytest.mark.parametrize(
+        "a,constellation", [((0.7, 0.2, 0.1), (-1.0, 1.0)), ((0.8, 0.2), PAM4)]
+    )
+    def test_ber_configs_match_one_point_calls(self, a, constellation):
+        model = GGNoiseModel.normalized(2.0)
+        configs = [
+            SystemConfig(a=a, gamma_bar=db(v), constellation=constellation)
+            for v in (5.0, 15.0, 30.0)
+        ]
+        shared = simulate_ber(configs, model, trials=self.TRIALS, seed=8)
+        single = tuple(
+            simulate_ber([cfg], model, trials=self.TRIALS, seed=8)[0] for cfg in configs
+        )
+        assert shared == single
+        assert len({est.point for row in shared for est in row}) > 1
+
+    def test_mixed_user_counts_rejected(self):
+        model = GGNoiseModel.normalized(2.0)
+        two = SystemConfig(a=(0.8, 0.2), gamma_bar=10.0)
+        three = three_user(10.0)
+        with pytest.raises(DomainError):
+            estimate_pep_mc([canonical_event(two, 1), canonical_event(three, 1)], model, 100, 1)
+        with pytest.raises(DomainError):
+            simulate_ber([two, three], model, 100, 1)
+
+    def test_mixed_constellations_rejected(self):
+        bpsk = SystemConfig(a=(0.8, 0.2), gamma_bar=10.0)
+        pam4 = SystemConfig(a=(0.8, 0.2), gamma_bar=10.0, constellation=PAM4)
+        with pytest.raises(DomainError):
+            simulate_ber([bpsk, pam4], GGNoiseModel.normalized(2.0), 100, 1)
+
+    def test_no_points_rejected(self):
+        model = GGNoiseModel.normalized(2.0)
+        with pytest.raises(DomainError):
+            estimate_pep_mc([], model, 100, 1)
+        with pytest.raises(DomainError):
+            simulate_ber([], model, 100, 1)

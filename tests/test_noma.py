@@ -3,7 +3,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noma_ggn.noma import (
     BPSK,
@@ -11,10 +14,14 @@ from noma_ggn.noma import (
     SystemConfig,
     build_error_event,
     enumerate_error_events,
+    nearest_symbol,
     sic_receive,
     superpose,
 )
 from noma_ggn.specfun import DomainError
+from oracles import nearest_symbol_argmin
+
+PAM4 = (-3.0, -1.0, 1.0, 3.0)
 
 
 def three_user(gamma_bar=10.0, alpha=2.0):
@@ -104,6 +111,43 @@ class TestSicReceive:
         assert sic_receive(cfg, 1.7, 1.0, 1) == (1.0,)
         assert sic_receive(cfg, -0.3, 1.0, 1) == (-1.0,)
         assert sic_receive(cfg, 0.0, 1.0, 1) == (-1.0,)  # tie toward smaller
+
+
+@st.composite
+def decision_rows(draw, phi):
+    """(residual, c) rows: random, and exact ties at residual 0, at c = 0
+    and on a midpoint c (phi_i + phi_i+1) / 2."""
+    residual, c = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        gain = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+        kind = draw(st.sampled_from(("random", "zero", "midpoint")))
+        if kind == "random":
+            r = draw(st.floats(-1e7, 1e7))
+        elif kind == "zero":
+            r = 0.0
+        else:
+            i = draw(st.integers(0, len(phi) - 2))
+            r = gain * (phi[i] + phi[i + 1]) / 2.0
+        residual.append(r)
+        c.append(gain)
+    return np.array(residual), np.array(c)
+
+
+class TestNearestSymbol:
+    @pytest.mark.parametrize("phi", [BPSK, PAM4], ids=["bpsk", "4pam"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_argmin_rule(self, phi, data):
+        phi = np.array(phi)
+        residual, c = data.draw(decision_rows(phi))
+        got = nearest_symbol(phi, residual, c)
+        assert got.tolist() == nearest_symbol_argmin(phi, residual, c).tolist()
+
+    def test_ties_go_to_smaller_symbol(self):
+        phi = np.array(PAM4)
+        residual = np.array([0.0, 5.0, 2.0, -4.0])
+        c = np.array([1.0, 0.0, 1.0, 2.0])
+        assert nearest_symbol(phi, residual, c).tolist() == [-1.0, -3.0, 1.0, -3.0]
 
 
 class TestBuildErrorEvent:
