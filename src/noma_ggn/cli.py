@@ -160,7 +160,12 @@ def parse_config(text: str) -> RunParams:
     Unknown keys are rejected; defaults reproduce the three-user reference
     setup (power 0.7/0.2/0.1, Gaussian noise, 0-40 dB sweep).
     """
-    values = dict(_DEFAULTS)
+    return _parse_config(text, _DEFAULTS)
+
+
+def _parse_config(text: str, defaults: dict) -> RunParams:
+    """parse_config with the values of the keys the document leaves out."""
+    values = dict(defaults)
     positions = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -332,7 +337,9 @@ _SUBCOMMAND_METRICS = {
     "ber": ("ber_union", "ber_sim"),
 }
 
-_SUBCOMMAND_SNR_DEFAULT = {"diversity": "60:20:80"}
+# defaults of a subcommand that differ from _DEFAULTS; a config file
+# overrides them like any other default
+_SUBCOMMAND_DEFAULTS = {"diversity": {"snr_db": "60:20:80"}}
 
 
 def _selftest() -> int:
@@ -361,11 +368,12 @@ def _selftest() -> int:
     return 0 if failures == 0 else 3
 
 
-def _read_config_arg(path: str | None) -> RunParams:
-    if path is None:
-        return parse_config("")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+def _read_config_arg(path: str | None, command: str) -> RunParams:
+    text = ""
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return _parse_config(text, {**_DEFAULTS, **_SUBCOMMAND_DEFAULTS.get(command, {})})
 
 
 def main(argv=None) -> int:
@@ -390,15 +398,7 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return _selftest()
     try:
-        params = _read_config_arg(args.config)
-        if args.command in _SUBCOMMAND_METRICS and args.config is None:
-            default_snr = _SUBCOMMAND_SNR_DEFAULT.get(args.command)
-            if default_snr is not None:
-                params = dataclasses.replace(
-                    params,
-                    snr_db=_parse_snr_spec(default_snr, None, None),
-                    snr_spec=default_snr,
-                )
+        params = _read_config_arg(args.config, args.command)
         if args.output:
             params = dataclasses.replace(params, output=args.output)
     except (ConfigError, OSError) as exc:

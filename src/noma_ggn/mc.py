@@ -3,7 +3,10 @@
 Trials are processed in fixed-size logical blocks, each drawing from its own
 (seed, block-index) stream through a per-block function. Error counts are
 integers and merging is plain summation, so the counts are the same for any
-split of the blocks into ranges and any order of visiting them.
+split of the blocks into ranges and any order of visiting them. One call
+splits its blocks into min(usable CPUs, blocks) contiguous ranges and runs
+each range in its own worker process; with fewer than two ranges the one
+range runs in the calling process.
 
 Each estimator takes a sequence of sweep points (events or configurations)
 and draws every block once for all of them, so a one-point call is a
@@ -13,7 +16,9 @@ calls at the same seed.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,18 +52,25 @@ def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z) -> tuple:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Binomial point estimate with 95% Wilson bounds and its seed."""
+    """Binomial point estimate with 95% Wilson bounds, its seed, the number
+    of blocks its trials ran in and the number of processes that ran them
+    (1 when the calling process ran them itself)."""
 
     point: float
     trials: int
     ci_low: float
     ci_high: float
     seed: int
+    blocks: int
+    workers: int
 
     @classmethod
-    def from_counts(cls, errors, trials, seed):
+    def from_counts(cls, errors, trials, seed, blocks, workers):
         lo, hi = wilson_interval(errors, trials)
-        return cls(point=errors / trials, trials=trials, ci_low=lo, ci_high=hi, seed=seed)
+        return cls(
+            point=errors / trials, trials=trials, ci_low=lo, ci_high=hi, seed=seed,
+            blocks=blocks, workers=workers,
+        )
 
 
 def _block_sizes(trials: int) -> list:
@@ -85,14 +97,37 @@ def _check_shared(values, what: str) -> None:
         raise DomainError(f"sweep points must share one {what}, got {sorted(set(values))}")
 
 
-def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int) -> np.ndarray:
-    """block_fn's error counts summed over the (seed, block) streams."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_range(block_fn, points, model: GGNoiseModel, seed: int, blocks: list) -> np.ndarray:
+    """block_fn's error counts summed over the (seed, block) streams of the
+    (block, size) pairs in blocks."""
+    return sum(block_fn(points, model, stream_rng(seed, block), n) for block, n in blocks)
+
+
+def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int) -> tuple:
+    """block_fn's error counts summed over every block of the call, with the
+    block count and the number of processes that ran the blocks."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
-    return sum(
-        block_fn(points, model, stream_rng(seed, block), n)
-        for block, n in enumerate(_block_sizes(trials))
-    )
+    blocks = list(enumerate(_block_sizes(trials)))
+    workers = min(_usable_cpus(), len(blocks))
+    if workers < 2:
+        return _count_range(block_fn, points, model, seed, blocks), len(blocks), 1
+    # imported here: the pool machinery costs tens of ms at package import
+    import concurrent.futures
+
+    bounds = [len(blocks) * i // workers for i in range(workers + 1)]
+    ranges = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        run_range = functools.partial(_count_range, block_fn, points, model, seed)
+        counts = sum(pool.map(run_range, ranges))
+    return counts, len(blocks), workers
 
 
 def _pep_block(
@@ -127,8 +162,10 @@ def estimate_pep_mc(
     must have one user count. Returns one McEstimate per event.
     """
     _check_shared([ev.L for ev in events], "user count")
-    errors = _count_blocks(_pep_block, events, model, trials, seed)
-    return tuple(McEstimate.from_counts(int(e), trials, seed) for e in errors)
+    errors, blocks, workers = _count_blocks(_pep_block, events, model, trials, seed)
+    return tuple(
+        McEstimate.from_counts(int(e), trials, seed, blocks, workers) for e in errors
+    )
 
 
 def _ber_block(
@@ -174,7 +211,8 @@ def simulate_ber(
     """
     _check_shared([c.L for c in configs], "user count")
     _check_shared([c.constellation for c in configs], "constellation")
-    errors = _count_blocks(_ber_block, configs, model, trials, seed)
+    errors, blocks, workers = _count_blocks(_ber_block, configs, model, trials, seed)
     return tuple(
-        tuple(McEstimate.from_counts(int(e), trials, seed) for e in row) for row in errors
+        tuple(McEstimate.from_counts(int(e), trials, seed, blocks, workers) for e in row)
+        for row in errors
     )

@@ -169,6 +169,18 @@ class TestMain:
         for l, slope in enumerate(slopes, start=1):
             assert abs(slope - l) <= 0.25
 
+    def test_diversity_default_window_with_config(self, tmp_path, capsys):
+        # a config file that leaves snr_db out keeps the subcommand's window
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 3\n")
+        assert main(["diversity", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in lines] == [70.0] * 3
+        for l, line in enumerate(lines, start=1):
+            assert abs(float(line.split(",")[4]) - l) <= 0.25
+        assert main(["print-config", str(cfg)]) == 0
+        assert "snr_db=0:5:40" in capsys.readouterr().out
+
     def test_diversity_high_snr_windows(self, tmp_path, capsys):
         # the closed form's alternating sum cancels for user 3 above ~75 dB
         # (a slope of 2.35 over 90-110 dB, a negative PEP at 118 dB); the

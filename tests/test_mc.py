@@ -1,5 +1,10 @@
 """Monte Carlo: pairwise experiments, full SIC BER, determinism, intervals."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+
 import pytest
 
 from noma_ggn import (
@@ -13,6 +18,8 @@ from noma_ggn import (
     simulate_ber,
     wilson_interval,
 )
+import noma_ggn
+from noma_ggn import mc
 from noma_ggn.mc import _ber_block, _pep_block
 from noma_ggn.specfun import DomainError
 from oracles import block_range_counts
@@ -207,3 +214,94 @@ class TestSharedDraws:
             estimate_pep_mc([], model, 100, 1)
         with pytest.raises(DomainError):
             simulate_ber([], model, 100, 1)
+
+
+class TestWorkers:
+    """One call runs its blocks in min(usable CPUs, blocks) processes, one
+    contiguous block range each, and its counts do not depend on how many."""
+
+    TRIALS = 3 * (1 << 16) + 1234  # four blocks, a partial last one
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: n)
+
+    @staticmethod
+    def no_pool(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    def test_pep_counts_independent_of_workers(self, monkeypatch):
+        model = GGNoiseModel.normalized(1.0)
+        cfg = three_user(db(10.0), 1.0)
+        events = [canonical_event(cfg, l) for l in (1, 2, 3)]
+        events += [next(ev for ev, _ in enumerate_error_events(cfg, 3) if ev.mu == 0)]
+        points = {}
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            ests = estimate_pep_mc(events, model, trials=self.TRIALS, seed=6)
+            assert {(est.blocks, est.workers) for est in ests} == {(4, n)}
+            points[n] = [est.point for est in ests]
+        assert points[1] == points[2] == points[3]
+        assert len(set(points[1])) == len(events)
+
+    @pytest.mark.parametrize(
+        "a,constellation", [((0.7, 0.2, 0.1), (-1.0, 1.0)), ((0.8, 0.2), PAM4)]
+    )
+    def test_ber_counts_independent_of_workers(self, monkeypatch, a, constellation):
+        model = GGNoiseModel.normalized(2.0)
+        configs = [
+            SystemConfig(a=a, gamma_bar=db(v), constellation=constellation)
+            for v in (5.0, 20.0)
+        ]
+        points = {}
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            rows = simulate_ber(configs, model, trials=self.TRIALS, seed=10)
+            assert {(est.blocks, est.workers) for row in rows for est in row} == {(4, n)}
+            points[n] = [est.point for row in rows for est in row]
+        assert points[1] == points[2] == points[3]
+        assert len(set(points[1])) > 1
+
+    def test_one_block_runs_in_process(self, monkeypatch):
+        self.cpus(monkeypatch, 4)
+        self.no_pool(monkeypatch)
+        model = GGNoiseModel.normalized(2.0)
+        (est,) = estimate_pep_mc([canonical_event(three_user(10.0), 2)], model, 1 << 16, 1)
+        assert (est.blocks, est.workers) == (1, 1)
+        (row,) = simulate_ber([three_user(10.0)], model, 5000, 1)
+        assert {(est.blocks, est.workers) for est in row} == {(1, 1)}
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        self.cpus(monkeypatch, 1)
+        self.no_pool(monkeypatch)
+        model = GGNoiseModel.normalized(2.0)
+        (est,) = estimate_pep_mc(
+            [canonical_event(three_user(10.0), 1)], model, self.TRIALS, 1
+        )
+        assert (est.blocks, est.workers) == (4, 1)
+
+    def test_workers_capped_by_blocks(self, monkeypatch):
+        self.cpus(monkeypatch, 8)
+        model = GGNoiseModel.normalized(2.0)
+        (est,) = estimate_pep_mc([canonical_event(three_user(10.0), 1)], model, 70000, 1)
+        assert (est.blocks, est.workers) == (2, 2)
+
+    def test_import_starts_no_pool_machinery(self):
+        # the pool is imported by the first call that runs one, so importing
+        # the package and its CLI stays as cheap as before
+        src = os.path.dirname(os.path.dirname(noma_ggn.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        code = (
+            "import sys, noma_ggn, noma_ggn.cli; "
+            "pool = ('concurrent.futures', 'concurrent.futures.process', 'multiprocessing'); "
+            "print(sorted(m for m in pool if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        ).stdout
+        assert out.strip() == "[]"
