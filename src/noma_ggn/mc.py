@@ -3,10 +3,11 @@
 Trials are processed in fixed-size logical blocks, each drawing from its own
 (seed, block-index) stream through a per-block function. Error counts are
 integers and merging is plain summation, so the counts are the same for any
-split of the blocks into ranges and any order of visiting them. One call
-splits its blocks into min(usable CPUs, blocks) contiguous ranges and runs
-each range in its own worker process; with fewer than two ranges the one
-range runs in the calling process.
+split of the blocks into ranges and any order of visiting them. A call of at
+least _POOL_MIN_BLOCKS blocks splits them into min(usable CPUs, blocks)
+contiguous ranges and runs each range in its own forked worker process; a
+smaller call, a call on one CPU, a call from a daemonic process or a call on
+a platform without a safe fork runs its blocks in the calling process.
 
 Each estimator takes a sequence of sweep points (events or configurations)
 and draws every block once for all of them, so a one-point call is a
@@ -19,7 +20,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,13 @@ from .specfun import DomainError
 __all__ = ["McEstimate", "BLOCK_TRIALS", "wilson_interval", "estimate_pep_mc", "simulate_ber"]
 
 BLOCK_TRIALS = 1 << 16
+
+# Fewest blocks a call must have before its blocks go to worker processes.
+# Below it the pool's start-up and shut-down cost (about 40 ms on 2 CPUs)
+# exceeds the block work it takes off the caller. Measured on the cheapest
+# block, a one-event PEP call (the draws alone): on 2 CPUs the pool lost at 5
+# blocks and won from 6 on; costlier blocks cross over sooner (ROADMAP item 3).
+_POOL_MIN_BLOCKS = 6
 
 # two-sided 95%
 _WILSON_Z = 1.959963984540054
@@ -54,15 +63,16 @@ def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z) -> tuple:
 class McEstimate:
     """Binomial point estimate with 95% Wilson bounds, its seed, the number
     of blocks its trials ran in and the number of processes that ran them
-    (1 when the calling process ran them itself)."""
+    (1 when the calling process ran them itself). `==` compares the result
+    only: blocks follows from trials and workers from the machine."""
 
     point: float
     trials: int
     ci_low: float
     ci_high: float
     seed: int
-    blocks: int
-    workers: int
+    blocks: int = field(compare=False)
+    workers: int = field(compare=False)
 
     @classmethod
     def from_counts(cls, errors, trials, seed, blocks, workers):
@@ -110,21 +120,46 @@ def _count_range(block_fn, points, model: GGNoiseModel, seed: int, blocks: list)
     return sum(block_fn(points, model, stream_rng(seed, block), n) for block, n in blocks)
 
 
+def _pool_workers(blocks: int) -> tuple:
+    """Worker processes for a call of `blocks` blocks and the fork context
+    that starts them; (1, None) runs the call in-process.
+
+    In-process: below _POOL_MIN_BLOCKS, on one CPU, in a daemonic caller (a
+    multiprocessing.Pool worker may not have children) and where the
+    platform has no safe fork. Fork needs no `if __name__ == "__main__":`
+    guard in the caller's script, which spawn and forkserver (the Linux
+    default from Python 3.14) do; Python documents fork as unsafe on macOS.
+    """
+    if blocks < _POOL_MIN_BLOCKS:
+        return 1, None
+    # imported here: the pool machinery costs tens of ms at package import
+    import multiprocessing
+
+    workers = min(_usable_cpus(), blocks)
+    if (
+        workers < 2
+        or multiprocessing.current_process().daemon
+        or sys.platform == "darwin"
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1, None
+    return workers, multiprocessing.get_context("fork")
+
+
 def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int) -> tuple:
     """block_fn's error counts summed over every block of the call, with the
     block count and the number of processes that ran the blocks."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
     blocks = list(enumerate(_block_sizes(trials)))
-    workers = min(_usable_cpus(), len(blocks))
+    workers, context = _pool_workers(len(blocks))
     if workers < 2:
         return _count_range(block_fn, points, model, seed, blocks), len(blocks), 1
-    # imported here: the pool machinery costs tens of ms at package import
     import concurrent.futures
 
     bounds = [len(blocks) * i // workers for i in range(workers + 1)]
     ranges = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
         run_range = functools.partial(_count_range, block_fn, points, model, seed)
         counts = sum(pool.map(run_range, ranges))
     return counts, len(blocks), workers

@@ -1,6 +1,7 @@
 """Monte Carlo: pairwise experiments, full SIC BER, determinism, intervals."""
 
 import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -216,14 +217,29 @@ class TestSharedDraws:
             simulate_ber([], model, 100, 1)
 
 
+def _estimate_in_child():
+    """A four-block PEP estimate, run inside a multiprocessing.Pool worker."""
+    (est,) = estimate_pep_mc(
+        [canonical_event(three_user(10.0), 1)], GGNoiseModel.normalized(2.0),
+        TestWorkers.TRIALS, 1,
+    )
+    return est, est.workers
+
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
 class TestWorkers:
-    """One call runs its blocks in min(usable CPUs, blocks) processes, one
-    contiguous block range each, and its counts do not depend on how many."""
+    """A call of _POOL_MIN_BLOCKS blocks or more runs them in min(usable
+    CPUs, blocks) forked processes, one contiguous block range each, and its
+    counts do not depend on how many."""
 
     TRIALS = 3 * (1 << 16) + 1234  # four blocks, a partial last one
 
     @staticmethod
     def cpus(monkeypatch, n):
+        # pool from two blocks on, so four-block calls exercise the split
+        monkeypatch.setattr(mc, "_POOL_MIN_BLOCKS", 2)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: n)
 
     @staticmethod
@@ -233,20 +249,22 @@ class TestWorkers:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
     def test_pep_counts_independent_of_workers(self, monkeypatch):
         model = GGNoiseModel.normalized(1.0)
         cfg = three_user(db(10.0), 1.0)
         events = [canonical_event(cfg, l) for l in (1, 2, 3)]
         events += [next(ev for ev, _ in enumerate_error_events(cfg, 3) if ev.mu == 0)]
-        points = {}
+        estimates = {}
         for n in (1, 2, 3):
             self.cpus(monkeypatch, n)
-            ests = estimate_pep_mc(events, model, trials=self.TRIALS, seed=6)
-            assert {(est.blocks, est.workers) for est in ests} == {(4, n)}
-            points[n] = [est.point for est in ests]
-        assert points[1] == points[2] == points[3]
-        assert len(set(points[1])) == len(events)
+            estimates[n] = estimate_pep_mc(events, model, trials=self.TRIALS, seed=6)
+            assert {(est.blocks, est.workers) for est in estimates[n]} == {(4, n)}
+        # == compares results only, not the workers that ran them
+        assert estimates[1] == estimates[2] == estimates[3]
+        assert len({est.point for est in estimates[1]}) == len(events)
 
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
     @pytest.mark.parametrize(
         "a,constellation", [((0.7, 0.2, 0.1), (-1.0, 1.0)), ((0.8, 0.2), PAM4)]
     )
@@ -256,14 +274,13 @@ class TestWorkers:
             SystemConfig(a=a, gamma_bar=db(v), constellation=constellation)
             for v in (5.0, 20.0)
         ]
-        points = {}
+        rows = {}
         for n in (1, 2, 3):
             self.cpus(monkeypatch, n)
-            rows = simulate_ber(configs, model, trials=self.TRIALS, seed=10)
-            assert {(est.blocks, est.workers) for row in rows for est in row} == {(4, n)}
-            points[n] = [est.point for row in rows for est in row]
-        assert points[1] == points[2] == points[3]
-        assert len(set(points[1])) > 1
+            rows[n] = simulate_ber(configs, model, trials=self.TRIALS, seed=10)
+            assert {(est.blocks, est.workers) for row in rows[n] for est in row} == {(4, n)}
+        assert rows[1] == rows[2] == rows[3]
+        assert len({est.point for row in rows[1] for est in row}) > 1
 
     def test_one_block_runs_in_process(self, monkeypatch):
         self.cpus(monkeypatch, 4)
@@ -282,6 +299,63 @@ class TestWorkers:
             [canonical_event(three_user(10.0), 1)], model, self.TRIALS, 1
         )
         assert (est.blocks, est.workers) == (4, 1)
+
+    def test_below_pool_min_blocks_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+        self.no_pool(monkeypatch)
+        blocks = mc._POOL_MIN_BLOCKS - 1
+        (est,) = estimate_pep_mc(
+            [canonical_event(three_user(10.0), 1)], GGNoiseModel.normalized(2.0),
+            blocks * mc.BLOCK_TRIALS, 1,
+        )
+        assert (est.blocks, est.workers) == (blocks, 1)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
+    def test_pool_from_pool_min_blocks(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        methods = []
+
+        def executor(workers, mp_context):
+            # forked whatever the platform's default start method is
+            methods.append(mp_context.get_start_method())
+            return pool_executor(workers, mp_context=mp_context)
+
+        pool_executor = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
+        trials = mc._POOL_MIN_BLOCKS * mc.BLOCK_TRIALS
+        events = [canonical_event(three_user(10.0), 1)]
+        model = GGNoiseModel.normalized(2.0)
+        (pooled,) = estimate_pep_mc(events, model, trials, 1)
+        assert (pooled.blocks, pooled.workers) == (mc._POOL_MIN_BLOCKS, 2)
+        assert methods == ["fork"]
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        assert estimate_pep_mc(events, model, trials, 1) == (pooled,)
+
+    @pytest.mark.parametrize("platform,methods", [
+        (sys.platform, ["spawn", "forkserver"]),  # no fork at all
+        ("darwin", ["fork", "spawn", "forkserver"]),  # fork, but unsafe
+    ])
+    def test_without_safe_fork_runs_in_process(self, monkeypatch, platform, methods):
+        # spawn and forkserver would re-import an unguarded caller script
+        self.cpus(monkeypatch, 4)
+        self.no_pool(monkeypatch)
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        (est,) = estimate_pep_mc(
+            [canonical_event(three_user(10.0), 1)], GGNoiseModel.normalized(2.0),
+            self.TRIALS, 1,
+        )
+        assert (est.blocks, est.workers) == (4, 1)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool worker is forked")
+    def test_daemonic_caller_runs_in_process(self, monkeypatch):
+        # a multiprocessing.Pool worker may not start children of its own
+        self.cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            est, workers = pool.apply(_estimate_in_child)
+        assert workers == 1
+        self.cpus(monkeypatch, 1)
+        assert _estimate_in_child() == (est, 1)
 
     def test_workers_capped_by_blocks(self, monkeypatch):
         self.cpus(monkeypatch, 8)
