@@ -16,8 +16,6 @@ from .noma import (
     SystemConfig,
     build_error_event,
     enumerate_error_events,
-    sic_receive,
-    superpose,
 )
 from .pep import (
     DiversityEstimate,
@@ -73,10 +71,8 @@ __all__ = [
     "pep_direct",
     "pep_exact",
     "sample_ordered_gains",
-    "sic_receive",
     "simulate_ber",
     "stream_rng",
-    "superpose",
     "union_bound",
     "upper_incomplete_gamma_reg",
     "wilson_interval",

@@ -139,15 +139,18 @@ class RunParams:
 def _parse_snr_spec(spec: str, line, col) -> tuple:
     parts = spec.split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, step, stop = (float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(
             f"snr_db must be a number or start:step:stop, got {spec!r}", line, col
         ) from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"snr_db values must be finite, got {spec!r}", line, col)
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if step <= 0 or stop < start:
         raise ConfigError(f"invalid snr_db range {spec!r}", line, col)
     n = int(math.floor((stop - start) / step + 1e-9)) + 1

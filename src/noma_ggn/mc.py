@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import sample_ordered_gains
 from .ggd import GGNoiseModel, stream_rng
-from .noma import ErrorEvent, SystemConfig, nearest_symbol
+from .noma import ErrorEvent, SystemConfig, _check_noise, sic_decide
 from .specfun import DomainError
 
 __all__ = ["McEstimate", "BLOCK_TRIALS", "wilson_interval", "estimate_pep_mc", "simulate_ber"]
@@ -46,15 +46,15 @@ _POOL_MIN_BLOCKS = 6
 _WILSON_Z = 1.959963984540054
 
 
-def wilson_interval(errors: int, trials: int, z: float = _WILSON_Z) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple:
+    """Two-sided 95 % Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
     p = errors / trials
-    z2n = z * z / trials
+    z2n = _WILSON_Z * _WILSON_Z / trials
     denom = 1.0 + z2n
     center = (p + 0.5 * z2n) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + 0.25 * z2n / trials) / denom
+    half = _WILSON_Z * math.sqrt(p * (1.0 - p) / trials + 0.25 * z2n / trials) / denom
     # clamp away rounding so the interval always brackets the point estimate
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
@@ -194,9 +194,12 @@ def estimate_pep_mc(
     l and counts (h zeta + n)^2 <= (h X + n)^2. The interference context
     (X, zeta) stays fixed, matching the conditional pairwise experiment.
     All events share each block's draws (common random numbers), so they
-    must have one user count. Returns one McEstimate per event.
+    must have one user count, and the model must be unit-variance with each
+    event's noise_alpha. Returns one McEstimate per event.
     """
     _check_shared([ev.L for ev in events], "user count")
+    for event in events:
+        _check_noise(event.config, model.alpha, model.sigma2)
     errors, blocks, workers = _count_blocks(_pep_block, events, model, trials, seed)
     return tuple(
         McEstimate.from_counts(int(e), trials, seed, blocks, workers) for e in errors
@@ -220,11 +223,7 @@ def _ber_block(
         composite = symbols @ amps
         for l in range(1, L + 1):
             h = gains[:, l - 1]
-            resid = h * composite + nn[:, l - 1]
-            for k in range(1, l + 1):
-                decided = nearest_symbol(phi, resid, amps[k - 1] * h)
-                if k < l:
-                    resid = resid - amps[k - 1] * h * decided
+            decided = sic_decide(phi, amps, h, h * composite + nn[:, l - 1], l)
             errors[i, l - 1] = np.count_nonzero(decided != symbols[:, l - 1])
     return errors
 
@@ -242,10 +241,13 @@ def simulate_ber(
     receiver; user l runs SIC through its own layer and its decision is
     compared to its transmitted symbol. All configs share each block's draws
     (common random numbers), so they must have one user count and one
-    constellation. Returns, per config, a tuple of one McEstimate per user.
+    constellation, and the model must be unit-variance with each config's
+    noise_alpha. Returns, per config, a tuple of one McEstimate per user.
     """
     _check_shared([c.L for c in configs], "user count")
     _check_shared([c.constellation for c in configs], "constellation")
+    for config in configs:
+        _check_noise(config, model.alpha, model.sigma2)
     errors, blocks, workers = _count_blocks(_ber_block, configs, model, trials, seed)
     return tuple(
         tuple(McEstimate.from_counts(int(e), trials, seed, blocks, workers) for e in row)

@@ -1,4 +1,4 @@
-"""Power-domain NOMA downlink: superposition, SIC detection, error events.
+"""Power-domain NOMA downlink: configuration, the SIC chain, error events.
 
 All signals are real (BPSK-style constellations with real additive noise),
 so the complex modulus in the analysis reduces to absolute value.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,17 +18,18 @@ from .specfun import DomainError
 __all__ = [
     "SystemConfig",
     "ErrorEvent",
-    "EnumeratedEvents",
     "DegenerateEventError",
-    "superpose",
     "nearest_symbol",
-    "sic_receive",
+    "sic_decide",
     "build_error_event",
     "enumerate_error_events",
     "BPSK",
 ]
 
 BPSK = (-1.0, 1.0)
+
+# cap on enumerate_error_events' raw assignments, which grow exponentially
+_MAX_EVENTS = 4096
 
 
 class DegenerateEventError(ValueError):
@@ -41,15 +42,13 @@ class SystemConfig:
     """Downlink configuration: power split, average transmit SNR, alphabet.
 
     a must be positive, non-increasing (stronger users get more power) and
-    sum to 1 by default; set require_full_power=False to allow sum < 1.
-    gamma_bar is the average transmit SNR 2P/N0 on a linear scale.
+    sum to 1. gamma_bar is the average transmit SNR 2P/N0 on a linear scale.
     """
 
     a: tuple
     gamma_bar: float
     constellation: tuple = BPSK
     noise_alpha: float = 2.0
-    require_full_power: bool = True
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.a)
@@ -63,13 +62,8 @@ class SystemConfig:
                 f"power coefficients must be non-increasing, got {a}"
             )
         total = sum(a)
-        if total > 1.0 + 1e-9:
-            raise DomainError(f"power coefficients sum to {total} > 1")
-        if self.require_full_power and abs(total - 1.0) > 1e-9:
-            raise DomainError(
-                f"power coefficients must sum to 1, got {total} "
-                "(set require_full_power=False to relax)"
-            )
+        if abs(total - 1.0) > 1e-9:
+            raise DomainError(f"power coefficients must sum to 1, got {total}")
         if not (self.gamma_bar >= 0.0 and math.isfinite(self.gamma_bar)):
             raise DomainError(f"gamma_bar must be >= 0, got {self.gamma_bar!r}")
         phi = tuple(sorted(float(s) for s in self.constellation))
@@ -90,56 +84,52 @@ class SystemConfig:
         return math.sqrt(self.a[l - 1] * self.gamma_bar)
 
 
+def _check_noise(config: SystemConfig, alpha: float, sigma2: float) -> None:
+    """The analytic and Monte Carlo routes model unit-variance noise of shape
+    config.noise_alpha; a noise description that differs would otherwise be
+    silently replaced by that one."""
+    if alpha != config.noise_alpha or sigma2 != 1.0:
+        raise DomainError(
+            f"noise (alpha={alpha!r}, sigma2={sigma2!r}) must be unit-variance "
+            f"with the configuration's noise_alpha={config.noise_alpha!r}"
+        )
+
+
 def _check_symbol(config: SystemConfig, x: float) -> float:
     if float(x) not in config.constellation:
         raise DomainError(f"symbol {x!r} not in constellation {config.constellation}")
     return float(x)
 
 
-def superpose(config: SystemConfig, symbols: Sequence[float]) -> float:
-    """Composite transmit signal sum_i sqrt(a_i * gamma_bar) * x_i."""
-    if len(symbols) != config.L:
-        raise DomainError(f"expected {config.L} symbols, got {len(symbols)}")
-    return sum(
-        config.amplitude(i + 1) * _check_symbol(config, x)
-        for i, x in enumerate(symbols)
-    )
-
-
 def nearest_symbol(phi: np.ndarray, residual: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """One SIC layer, row by row: the point of the ascending constellation phi
-    minimizing |residual - c * x|. A row moves to a later point only when
-    that point is strictly closer, so ties break toward the smaller symbol."""
+    """One layer of sic_decide, row by row: the point of the ascending
+    constellation phi minimizing |residual - c * x|. A row moves to a later
+    point only when that point is strictly closer, so ties break toward the
+    smaller symbol."""
     decided = np.full(residual.shape, phi[0])
     best = np.abs(residual - c * phi[0])
+    # one distance buffer written in place: fresh arrays per point let glibc
+    # trim the heap and fault it back in on every Monte Carlo block
+    dist = np.empty_like(best)
     for x in phi[1:]:
-        dist = np.abs(residual - c * x)
+        np.multiply(c, x, out=dist)
+        np.subtract(residual, dist, out=dist)
+        np.abs(dist, out=dist)
         np.copyto(decided, x, where=dist < best)
         np.minimum(best, dist, out=best)
     return decided
 
 
-def sic_receive(config: SystemConfig, received: float, h: float, l: int) -> tuple:
-    """Layered detection at user l: decode layers 1..l, subtracting each.
-
-    Each layer picks the constellation point minimizing
-    |residual - sqrt(a_k gamma_bar) h x| by a one-row nearest_symbol call, so
-    ties break toward the smaller symbol. Returns the l decisions in layer
-    order.
-    """
-    if h < 0.0:
-        raise DomainError(f"channel gain must be >= 0, got {h!r}")
-    if not 1 <= l <= config.L:
-        raise DomainError(f"user index must be in 1..{config.L}, got {l!r}")
-    phi = np.asarray(config.constellation)
-    residual = np.array([float(received)])
-    decided = []
-    for k in range(1, l + 1):
-        c = config.amplitude(k) * h
-        best = nearest_symbol(phi, residual, np.array([c]))
-        decided.append(float(best[0]))
-        residual = residual - c * best
-    return tuple(decided)
+def sic_decide(
+    phi: np.ndarray, amps: np.ndarray, h: np.ndarray, received: np.ndarray, l: int
+) -> np.ndarray:
+    """User l's layer-l decisions, row by row: layers 1..l are decided in
+    turn by nearest_symbol at amplitude amps[k-1] * h (amps[k-1] =
+    sqrt(a_k gamma_bar)), each decided layer below l subtracted first."""
+    resid = received
+    for k in range(1, l):
+        resid = resid - amps[k - 1] * h * nearest_symbol(phi, resid, amps[k - 1] * h)
+    return nearest_symbol(phi, resid, amps[l - 1] * h)
 
 
 @dataclass(frozen=True)
@@ -243,46 +233,31 @@ def build_error_event(
     )
 
 
-@dataclass(frozen=True)
-class EnumeratedEvents:
-    """Weighted events plus a count of boundary (upsilon = 0) assignments
-    that were skipped. Iterates as (event, weight) pairs."""
-
-    events: tuple
-    degenerate_count: int
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def enumerate_error_events(
-    config: SystemConfig, l: int, max_events: int = 4096
-) -> EnumeratedEvents:
-    """All pairwise error events of user l under uniform symbol averaging.
+def enumerate_error_events(config: SystemConfig, l: int) -> tuple:
+    """All pairwise error events of user l under uniform symbol averaging, as
+    a tuple of (event, weight) pairs.
 
     Joint assignments of transmitted symbols (all users), SIC-layer decisions
     (layers below l, each a free constellation point) and wrong hypotheses
-    x_check != x_l are enumerated; weights are uniform within each
-    (x_l, x_check) class and sum to 1 per class. Boundary assignments are
-    dropped and counted.
+    x_check != x_l are enumerated; every assignment of an (x_l, x_check)
+    class has the same weight, one over the class size. Boundary
+    (upsilon = 0) assignments have no ErrorEvent and are left out, so a
+    class's weights sum to 1 minus its boundary share (union_bound counts
+    that share). More than _MAX_EVENTS raw assignments raise DomainError.
     """
     if not 1 <= l <= config.L:
         raise DomainError(f"user index must be in 1..{config.L}, got {l!r}")
     phi = config.constellation
     m = len(phi)
     n_raw = m**config.L * (m - 1) * m ** (l - 1)
-    if n_raw > max_events:
+    if n_raw > _MAX_EVENTS:
         raise DomainError(
-            f"enumeration size {n_raw} exceeds cap {max_events} "
+            f"enumeration size {n_raw} exceeds cap {_MAX_EVENTS} "
             f"(L={config.L}, |phi|={m})"
         )
     class_size = m ** (config.L - 1) * m ** (l - 1)
     weight = 1.0 / class_size
     events = []
-    degenerate = 0
     for tx in itertools.product(phi, repeat=config.L):
         for detected in itertools.product(phi, repeat=l - 1):
             for x_check in phi:
@@ -299,7 +274,6 @@ def enumerate_error_events(
                         sic_transmitted=tx[: l - 1],
                     )
                 except DegenerateEventError:
-                    degenerate += 1
                     continue
                 events.append((ev, weight))
-    return EnumeratedEvents(events=tuple(events), degenerate_count=degenerate)
+    return tuple(events)

@@ -11,6 +11,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -19,7 +20,13 @@ import numpy as np
 
 from .channel import order_terms, ordered_pdf
 from .ggd import GGNoiseModel, lambda0
-from .noma import ErrorEvent, SystemConfig, build_error_event, enumerate_error_events
+from .noma import (
+    ErrorEvent,
+    SystemConfig,
+    _check_noise,
+    build_error_event,
+    enumerate_error_events,
+)
 from .specfun import (
     DomainError,
     erfcx,
@@ -94,6 +101,7 @@ def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
     (2 Gamma(1/a)); the constructive branch is evaluated through the upper
     regularized gamma so deep tails keep relative accuracy.
     """
+    _check_noise(event.config, model.alpha, model.sigma2)
     if h < 0.0:
         raise DomainError(f"gain must be >= 0, got {h!r}")
     inv_a = 1.0 / model.alpha
@@ -140,6 +148,7 @@ def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     the ordered-gain density integrates to one; so a destructive event is one
     minus the constructive value.
     """
+    _check_noise(event.config, model.alpha, model.sigma2)
     value = _constructive_value(event, model.alpha, _kappa(event, model.lambda0))
     if not event.mu:
         value = 1.0 - value
@@ -196,6 +205,7 @@ def pep_closed_form(event: ErrorEvent, alpha: float) -> PepResult:
     """
     if alpha not in (1, 2, 1.0, 2.0):
         raise DomainError(f"closed forms exist for alpha in {{1, 2}}, got {alpha!r}")
+    _check_noise(event.config, alpha, 1.0)
     alpha = float(alpha)
     lam0 = lambda0(alpha)
     terms = order_terms(event.L, event.l)
@@ -237,19 +247,29 @@ def union_bound(config: SystemConfig, model: GGNoiseModel, l: int) -> UnionBound
     """BER union bound for user l under uniform symbol probabilities.
 
     Each hypothesis-pair probability is the uniform average of the exact PEP
-    over interferer and SIC-layer assignments; q is bits per symbol.
+    over interferer and SIC-layer assignments; q is bits per symbol. A
+    boundary (upsilon = 0) assignment, which enumerate_error_events leaves
+    out, counts at its exact pair probability 1/2: with zeta = -X the error
+    region is n sign(X) >= 0, and at X = zeta = 0 the conditional PEP is 1/2
+    on both branches.
     """
+    _check_noise(config, model.alpha, model.sigma2)
     phi = config.constellation
     q = len(phi).bit_length() - 1
     if 2**q != len(phi):
         raise DomainError("union bound needs a power-of-two constellation size")
-    pair_prob: dict = {}
+    pep_sum = dict.fromkeys(itertools.permutations(phi, 2), 0.0)
+    weight_sum = dict.fromkeys(pep_sum, 0.0)
     for ev, weight in enumerate_error_events(config, l):
         key = (ev.x_l, ev.x_check_l)
-        pair_prob[key] = pair_prob.get(key, 0.0) + weight * pep_exact(ev, model).value
+        pep_sum[key] += weight * pep_exact(ev, model).value
+        weight_sum[key] += weight
+    # the weights are powers of two, so each class's boundary share
+    # 1 - weight_sum is exact, and 0.0 where the class has no boundary
     contributions = tuple(
-        (x, x_check, _bit_errors(config, x, x_check), prob)
-        for (x, x_check), prob in sorted(pair_prob.items())
+        (x, x_check, _bit_errors(config, x, x_check),
+         pep_sum[x, x_check] + 0.5 * (1.0 - weight_sum[x, x_check]))
+        for x, x_check in sorted(pep_sum)
     )
     pr_x = 1.0 / len(phi)
     p_ub = sum(pr_x * e * prob for _, _, e, prob in contributions) / q

@@ -202,6 +202,14 @@ class TestMain:
         assert main(["pep", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["nan", "inf", "-inf", "0:nan:10", "nan:5:40"])
+    def test_non_finite_snr_exit_code(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "snr.cfg"
+        cfg.write_text(f"alpha=2\nsnr_db={spec}\n")
+        assert main(["ber", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: line 2, column 8:" in err and "finite" in err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["pep", str(tmp_path / "absent.cfg")]) == 2
 

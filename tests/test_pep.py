@@ -8,18 +8,22 @@ import pytest
 import scipy.integrate as si
 import scipy.special as sps
 
+import noma_ggn.pep
 from noma_ggn import (
     GGNoiseModel,
     NumericFailure,
+    PepResult,
     SystemConfig,
     build_error_event,
     canonical_event,
     conditional_pep,
     diversity_order,
     enumerate_error_events,
+    estimate_pep_mc,
     pep_closed_form,
     pep_direct,
     pep_exact,
+    simulate_ber,
     union_bound,
 )
 from noma_ggn.pep import _kappa
@@ -31,8 +35,8 @@ def three_user(gamma_bar, alpha=2.0):
     return SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=gamma_bar, noise_alpha=alpha)
 
 
-def single_user_event(gamma_bar):
-    cfg = SystemConfig(a=(1.0,), gamma_bar=gamma_bar)
+def single_user_event(gamma_bar, alpha=2.0):
+    cfg = SystemConfig(a=(1.0,), gamma_bar=gamma_bar, noise_alpha=alpha)
     return cfg, build_error_event(cfg, 1, x_l=1.0, x_check_l=-1.0)
 
 
@@ -42,12 +46,12 @@ def db(v):
 
 class TestConditionalPep:
     def test_zero_gain_is_half(self):
-        _, ev = single_user_event(10.0)
         for alpha in (0.5, 1.0, 2.0, 3.7):
+            _, ev = single_user_event(10.0, alpha)
             assert conditional_pep(ev, GGNoiseModel.normalized(alpha), 0.0) == 0.5
 
     def test_constructive_vanishes_at_high_gain(self):
-        _, ev = single_user_event(10.0)
+        _, ev = single_user_event(10.0, 1.0)
         assert ev.mu == 1
         assert conditional_pep(ev, GGNoiseModel.normalized(1.0), 1e6) < 1e-300
 
@@ -65,7 +69,7 @@ class TestConditionalPep:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_monotone_in_gain_for_constructive(self, alpha):
-        _, ev = single_user_event(5.0)
+        _, ev = single_user_event(5.0, alpha)
         model = GGNoiseModel.normalized(alpha)
         hs = np.linspace(0.0, 5.0, 50)
         vals = [conditional_pep(ev, model, h) for h in hs]
@@ -210,9 +214,8 @@ class TestClosedForm:
         )
 
     def test_near_zero_snr_limit(self):
-        cfg = three_user(1e-8)
-        ev = canonical_event(cfg, 2)
         for alpha in (1.0, 2.0):
+            ev = canonical_event(three_user(1e-8, alpha), 2)
             assert pep_closed_form(ev, alpha).value == pytest.approx(0.5, abs=1e-3)
 
     def test_rejects_other_alpha(self):
@@ -221,9 +224,8 @@ class TestClosedForm:
             pep_closed_form(ev, 1.5)
 
     def test_method_tags(self):
-        _, ev = single_user_event(10.0)
-        assert pep_closed_form(ev, 1.0).method == "closed_alpha1"
-        assert pep_closed_form(ev, 2.0).method == "closed_alpha2"
+        assert pep_closed_form(single_user_event(10.0, 1.0)[1], 1.0).method == "closed_alpha1"
+        assert pep_closed_form(single_user_event(10.0, 2.0)[1], 2.0).method == "closed_alpha2"
 
     def test_gaussian_cross_check(self):
         # independently coded: PEP = int (1/2) erfc(kappa w) f_l(w) dw with
@@ -294,6 +296,55 @@ class TestUnionBound:
         assert result.p_ub >= max(
             pr_x * e * p / result.q for _, _, e, p in result.contributions
         )
+
+
+    def test_zero_snr_is_half(self):
+        # at gamma_bar = 0 every assignment is a boundary one (X = zeta = 0)
+        cfg = SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=0.0)
+        for l in (1, 2, 3):
+            result = union_bound(cfg, GGNoiseModel.normalized(2.0), l)
+            assert result.p_ub == 0.5
+            assert [p for *_, p in result.contributions] == [0.5, 0.5]
+
+    def test_class_weights_sum_to_one_with_boundary(self, monkeypatch):
+        # a2 = a3: 4 of user 2's 16 assignments have zeta = -X; with every
+        # PEP at 1/2 a pair probability is 1/2 only if the class's weights,
+        # boundary assignments included, sum to 1
+        cfg = SystemConfig(a=(0.5, 0.25, 0.25), gamma_bar=db(20.0))
+        assert len(enumerate_error_events(cfg, 2)) == 12
+        monkeypatch.setattr(
+            noma_ggn.pep, "pep_exact", lambda ev, model: PepResult(0.5, "quadrature")
+        )
+        for l in (1, 2, 3):
+            result = union_bound(cfg, GGNoiseModel.normalized(2.0), l)
+            assert [p for *_, p in result.contributions] == [0.5, 0.5]
+
+
+class TestNoiseMatchesConfig:
+    @pytest.mark.parametrize(
+        "model",
+        [GGNoiseModel.normalized(1.0), GGNoiseModel(2.0, sigma2=4.0)],
+        ids=["other_alpha", "other_variance"],
+    )
+    def test_mismatched_model_rejected(self, model):
+        cfg = three_user(db(10.0), 2.0)
+        ev = canonical_event(cfg, 2)
+        calls = [
+            lambda: conditional_pep(ev, model, 1.0),
+            lambda: pep_exact(ev, model),
+            lambda: pep_direct(ev, model),
+            lambda: union_bound(cfg, model, 2),
+            lambda: estimate_pep_mc([ev], model, trials=10, seed=1),
+            lambda: simulate_ber([cfg], model, trials=10, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="noise_alpha"):
+                call()
+
+    def test_closed_form_alpha_must_match(self):
+        ev = canonical_event(three_user(db(10.0), 2.0), 2)
+        with pytest.raises(DomainError, match="noise_alpha"):
+            pep_closed_form(ev, 1.0)
 
 
 class TestDiversity:
