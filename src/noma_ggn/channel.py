@@ -38,10 +38,15 @@ def _check_indices(L: int, l: int) -> None:
         raise DomainError(f"user index must be in 1..{L}, got {l!r}")
 
 
+def _order_coeff(L: int, l: int) -> float:
+    """A_l = L! / [(l-1)! (L-l)!] of the l-th of L ordered gains."""
+    _check_indices(L, l)
+    return math.factorial(L) / (math.factorial(l - 1) * math.factorial(L - l))
+
+
 def order_terms(L: int, l: int) -> list[OrderStatsTerm]:
     """The l expansion terms (i = 0 .. l-1) for the l-th of L ordered gains."""
-    _check_indices(L, l)
-    a_l = math.factorial(L) / (math.factorial(l - 1) * math.factorial(L - l))
+    a_l = _order_coeff(L, l)
     return [OrderStatsTerm(l=l, i=i, a_l=a_l, delta=L - l + 1 + i) for i in range(l)]
 
 
@@ -53,9 +58,8 @@ def ordered_pdf(L: int, l: int, w):
     A_l * w * exp(-(L-l+1) w^2 / 2) * (1 - exp(-w^2 / 2))^(l-1),
     which stays accurate at small w where the alternating sum cancels.
     """
-    _check_indices(L, l)
+    a_l = _order_coeff(L, l)
     w = np.asarray(w, dtype=float)
-    a_l = math.factorial(L) / (math.factorial(l - 1) * math.factorial(L - l))
     half_w2 = 0.5 * w * w
     out = (
         a_l

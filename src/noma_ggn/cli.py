@@ -149,12 +149,20 @@ def _parse_snr_spec(spec: str, line, col) -> tuple:
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"snr_db values must be finite, got {spec!r}", line, col)
     if len(values) == 1:
-        return values
-    start, step, stop = values
-    if step <= 0 or stop < start:
-        raise ConfigError(f"invalid snr_db range {spec!r}", line, col)
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(n))
+        grid = values
+    else:
+        start, step, stop = values
+        if step <= 0 or stop < start:
+            raise ConfigError(f"invalid snr_db range {spec!r}", line, col)
+        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        grid = tuple(start + i * step for i in range(n))
+    try:
+        _db_to_linear(max(grid))
+    except OverflowError:
+        raise ConfigError(
+            f"snr_db values must give a finite linear SNR, got {max(grid):g} dB", line, col
+        ) from None
+    return grid
 
 
 def parse_config(text: str) -> RunParams:

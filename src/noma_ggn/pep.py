@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import order_terms, ordered_pdf
+from .channel import _order_coeff, order_terms, ordered_pdf
 from .ggd import GGNoiseModel, lambda0
 from .noma import (
     ErrorEvent,
@@ -94,6 +94,15 @@ def _kappa(event: ErrorEvent, lam0: float) -> float:
     )
 
 
+def _decay_arg(kappa: float, w: float, alpha: float) -> float:
+    """(kappa w)^alpha, inf where that overflows a double: exp(-z) and the
+    incomplete gammas at z are then exactly 0 or 1 in double precision."""
+    try:
+        return (kappa * w) ** alpha
+    except OverflowError:
+        return math.inf
+
+
 def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
     """Pairwise error probability conditioned on channel gain h.
 
@@ -105,7 +114,9 @@ def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
     if h < 0.0:
         raise DomainError(f"gain must be >= 0, got {h!r}")
     inv_a = 1.0 / model.alpha
-    z = (_kappa(event, model.lambda0) * h) ** model.alpha
+    z = _decay_arg(_kappa(event, model.lambda0), h, model.alpha)
+    if z == math.inf:
+        return 0.0 if event.mu else 1.0
     if event.mu:
         return 0.5 * upper_incomplete_gamma_reg(inv_a, z)
     return 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
@@ -133,10 +144,11 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> float:
         for j in range(m + 1):
             beta += coeffs[j] * wp
             wp *= big_w
-        return math.exp(-((kappa * w) ** alpha)) * beta
+        return math.exp(-_decay_arg(kappa, w, alpha)) * beta
 
-    val, _ = integrate_semi_infinite(integrand)
-    a_l = order_terms(L, l)[0].a_l
+    # the gain density varies on w ~ 1, the gamma factor on w ~ 1 / kappa
+    val, _ = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa))
+    a_l = _order_coeff(L, l)
     return a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa * val
 
 
@@ -162,7 +174,8 @@ def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     def integrand(w: float) -> float:
         return conditional_pep(event, model, w) * ordered_pdf(event.L, event.l, w)
 
-    val, _ = integrate_semi_infinite(integrand)
+    kappa = _kappa(event, model.lambda0)
+    val, _ = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa))
     return PepResult(value=val, method="direct")
 
 

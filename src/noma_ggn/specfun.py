@@ -203,16 +203,6 @@ def _gk15(g: Callable[[float], float], lo: float, hi: float):
     return fk * half, abs(fk - fg) * half
 
 
-# Initial panel edges on the mapped (0, 1) domain. The geometric ladder near
-# zero keeps integrands whose mass sits at very small arguments (sharp decay
-# scales up to ~1e12) from being missed by the first coarse panels.
-_INITIAL_EDGES = tuple(
-    [0.0]
-    + [10.0 ** k for k in range(-12, 0)]
-    + [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0]
-)
-
-
 # Convergence is driven by relative error: PEP values span hundreds of orders
 # of magnitude, so a larger absolute floor would let tiny probabilities
 # converge to noise.
@@ -221,14 +211,42 @@ _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 200
 
 
-def integrate_semi_infinite(f: Callable[[float], float]) -> QuadratureResult:
+# initial panel rule, explained in integrate_semi_infinite
+_EDGE_RATIO = 4.0
+_TOP_SCALES = 64.0
+
+
+def _initial_edges(scales) -> list:
+    """Initial panel edges on the mapped (0, 1) domain, 0 and 1 included."""
+    scales = tuple(scales)
+    if not scales:
+        raise DomainError("at least one scale is required")
+    for s in scales:
+        if not (math.isfinite(s) and s > 0.0):
+            raise DomainError(f"scales must be positive and finite, got {s!r}")
+    lo = min(scales) / 4.0
+    log_ratio = math.log(_TOP_SCALES * max(scales)) - math.log(lo)
+    n = math.ceil(log_ratio / math.log(_EDGE_RATIO))
+    xs = [lo * math.exp(log_ratio * k / n) for k in range(n + 1)]
+    return [0.0] + [x / (1.0 + x) for x in xs] + [1.0]
+
+
+def integrate_semi_infinite(f: Callable[[float], float], scales) -> QuadratureResult:
     """Adaptive integral of f over [0, inf) for eventually-decaying f.
 
-    The domain is mapped to (0, 1) via x = t / (1 - t) and integrated with an
-    adaptively bisected Gauss-Kronrod 7-15 rule. Deterministic. Raises
-    QuadratureError (carrying the best estimate) if the error target is still
-    unmet after _MAX_SUBDIVISIONS bisections.
+    scales are the positive lengths in x on which f changes, e.g. 1/c for
+    exp(-c x); the caller names them all. The initial panels are geometric
+    in x with ratio at most 4 from min(scales) / 4 to 64 max(scales), then
+    one tail panel to infinity. The top edge sits at 64 scales because mass
+    beyond it goes unseen by the tail panel's nodes: with an edge at 8 / c,
+    e^-8 of c exp(-c x) would be missed. The domain is mapped to (0, 1) via
+    x = t / (1 - t) and each panel integrated with an adaptively bisected
+    Gauss-Kronrod 7-15 rule. Deterministic. Raises DomainError for no scales
+    or a non-positive or non-finite one, and QuadratureError (carrying the
+    best estimate) if the error target is still unmet after
+    _MAX_SUBDIVISIONS bisections.
     """
+    edges = _initial_edges(scales)
 
     def g(t: float) -> float:
         u = 1.0 - t
@@ -238,15 +256,13 @@ def integrate_semi_infinite(f: Callable[[float], float]) -> QuadratureResult:
             raise DomainError(f"integrand not finite at x={x!r}")
         return v
 
-    # (neg_error, tie_breaker, lo, hi, value, error)
+    # panels are disjoint, so (neg_error, lo) orders the heap without ties
     heap = []
-    counter = 0
     total = 0.0
     total_err = 0.0
-    for lo, hi in zip(_INITIAL_EDGES[:-1], _INITIAL_EDGES[1:]):
+    for lo, hi in zip(edges[:-1], edges[1:]):
         val, err = _gk15(g, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
+        heapq.heappush(heap, (-err, lo, hi, val, err))
         total += val
         total_err += err
 
@@ -259,16 +275,14 @@ def integrate_semi_infinite(f: Callable[[float], float]) -> QuadratureResult:
                 best_estimate=total,
                 error_estimate=total_err,
             )
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
+        _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         v1, e1 = _gk15(g, lo, mid)
         v2, e2 = _gk15(g, mid, hi)
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-        counter += 1
+        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
         subdivisions += 1
 
     return QuadratureResult(total, total_err)

@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from noma_ggn import ErrorEvent, lambda0, order_terms, stream_rng
@@ -47,7 +48,7 @@ def t2_term(alpha: float, kappa: float, delta: int) -> float:
     def integrand(w: float) -> float:
         return math.exp(-((kappa * w) ** alpha) - 0.5 * delta * w * w)
 
-    val, _ = integrate_semi_infinite(integrand)
+    val, _ = integrate_semi_infinite(integrand, (1.0 / math.sqrt(delta), 1.0 / kappa))
     return alpha * kappa / delta * val
 
 
@@ -68,6 +69,49 @@ def t1_t2_sum(event: ErrorEvent, alpha: float, kappa: float) -> float:
         sign = (-1.0) ** term.i * math.comb(event.l - 1, term.i)
         acc += sign * (t1 + (-1.0) ** event.mu * t2)
     return terms[0].a_l / (2.0 * gamma_inv_a) * acc
+
+
+MP_DPS = 30
+
+
+def pep_mp(event: ErrorEvent) -> float:
+    """PEP of a constructive (mu = 1) event in mpmath at MP_DPS digits,
+    written from the model.
+
+    At gain w, user l decides x_check for x_l when n sign(d) <= w upsilon /
+    (2 |d|), d = sqrt(a_l gamma_bar) delta_check, n GGD noise of shape alpha
+    and variance 1/2 (rate lam, lam^2 = 2 Gamma(3/a) / Gamma(1/a)). With
+    upsilon < 0 and kappa = lam |upsilon| / (2 |d|) that is the GGD tail
+    Q(1/a, (kappa w)^a) / 2, whose w-derivative is
+    -a kappa exp(-(kappa w)^a) / (2 Gamma(1/a)). Averaged over the l-th of L
+    ordered Rayleigh gains and integrated by parts against their CDF
+    F_l(w) = sum_{j >= l} C(L, j) F^j (1 - F)^(L - j), F = 1 - exp(-w^2 / 2),
+    the PEP is a kappa / (2 Gamma(1/a)) int_0^inf exp(-(kappa w)^a) F_l(w) dw.
+    """
+    if not event.mu:
+        raise DomainError("pep_mp evaluates constructive (mu = 1) events")
+    L, l = event.L, event.l
+    with mp.workdps(MP_DPS):
+        alpha = mp.mpf(event.config.noise_alpha)
+        lam = mp.sqrt(2 * mp.gamma(3 / alpha) / mp.gamma(1 / alpha))
+        d = mp.sqrt(mp.mpf(event.a_l) * mp.mpf(event.gamma_bar)) * abs(mp.mpf(event.delta_check))
+        kappa = lam * abs(mp.mpf(event.upsilon)) / (2 * d)
+        terms = [(math.comb(L, j), j) for j in range(l, L + 1)]
+
+        def integrand(w):
+            big_f = -mp.expm1(-w * w / 2)
+            cdf = sum(c * big_f**j * (1 - big_f) ** (L - j) for c, j in terms)
+            return mp.exp(-((kappa * w) ** alpha)) * cdf
+
+        # the gain density varies on w ~ 1 and the tail on w ~ 1 / kappa;
+        # mpmath's error target is absolute, so the integrand is rescaled to
+        # order one first
+        breaks = sorted({s * u for s in (0.5, 1, 2) for u in (1, 1 / kappa)})
+        scale = max(integrand(b) * b for b in breaks)
+        value, error = mp.quad(lambda w: integrand(w) / scale, [0] + breaks + [mp.inf], error=True)
+        if not error <= mp.mpf(10) ** (8 - MP_DPS) * value:
+            raise ArithmeticError(f"mpmath quadrature unconverged for {event}")
+        return float(alpha * kappa / (2 * mp.gamma(1 / alpha)) * value * scale)
 
 
 def block_range_counts(block_fn, seed: int, trials: int, ranges: int):

@@ -42,7 +42,7 @@ class TestOrderedPdf:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
     def test_normalization(self, L):
         for l in range(1, L + 1):
-            mass, _ = integrate_semi_infinite(lambda w: ordered_pdf(L, l, w))
+            mass, _ = integrate_semi_infinite(lambda w: ordered_pdf(L, l, w), (1.0,))
             assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_mixture_identity(self):

@@ -10,6 +10,7 @@ from noma_ggn.cli import (
     parse_config,
     run_sweep,
 )
+from oracles import pep_mp
 
 FAST = "trials=20000\nsnr_db=0:10:20\n"
 
@@ -202,13 +203,28 @@ class TestMain:
         assert main(["pep", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["nan", "inf", "-inf", "0:nan:10", "nan:5:40"])
+    # 4000 dB is finite but 10^(4000/10) is not
+    @pytest.mark.parametrize(
+        "spec", ["nan", "inf", "-inf", "0:nan:10", "nan:5:40", "4000", "0:1000:4000"]
+    )
     def test_non_finite_snr_exit_code(self, tmp_path, capsys, spec):
         cfg = tmp_path / "snr.cfg"
         cfg.write_text(f"alpha=2\nsnr_db={spec}\n")
         assert main(["ber", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: line 2, column 8:" in err and "finite" in err
+
+    def test_decay_argument_overflow_is_exact(self, tmp_path, capsys):
+        # (kappa w)^alpha overflows a double inside the quadrature here; the
+        # gamma factor is exactly 0 there, and the values match mpmath
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text("alpha=20\nsnr_db=250\nmetrics=pep_analytic\n")
+        assert main(["pep", str(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        config = parse_config(cfg.read_text()).system_config(10.0**25)
+        for l, row in enumerate(rows, start=1):
+            value = float(row.split(",")[4])
+            assert value == pytest.approx(pep_mp(canonical_event(config, l)), rel=1e-10, abs=0.0)
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["pep", str(tmp_path / "absent.cfg")]) == 2

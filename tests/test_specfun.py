@@ -156,32 +156,38 @@ class TestQuadrature:
         ],
     )
     def test_known_integrals(self, f, expected):
-        value, err = integrate_semi_infinite(f)
+        value, err = integrate_semi_infinite(f, (1.0,))
         assert value == pytest.approx(expected, rel=1e-10)
         assert err <= max(1e-12, 1e-10 * abs(value))
 
     @pytest.mark.parametrize("split", [0.3, 1.0, 7.5])
     def test_split_domain_invariance(self, split):
         f = lambda x: math.exp(-x) * math.cos(x)  # noqa: E731
-        whole, _ = integrate_semi_infinite(f)
-        left, _ = integrate_semi_infinite(lambda x: f(x) if x < split else 0.0)
-        right, _ = integrate_semi_infinite(lambda x: f(x) if x >= split else 0.0)
+        whole, _ = integrate_semi_infinite(f, (1.0,))
+        left, _ = integrate_semi_infinite(lambda x: f(x) if x < split else 0.0, (1.0,))
+        right, _ = integrate_semi_infinite(lambda x: f(x) if x >= split else 0.0, (1.0,))
         assert left + right == pytest.approx(whole, abs=1e-9)
 
     def test_sharp_decay_scales(self):
-        # mass concentrated near zero must not be missed by coarse panels
+        # mass concentrated near zero, on the stated scale 1/c, must not be
+        # missed by coarse panels
         for c in (1e3, 1e9, 1e12):
-            value, _ = integrate_semi_infinite(lambda x: c * math.exp(-c * x))
+            value, _ = integrate_semi_infinite(lambda x: c * math.exp(-c * x), (1.0 / c,))
             assert value == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("scales", [(), (0.0,), (1.0, -2.0), (math.inf,), (1.0, math.nan)])
+    def test_scales_must_be_positive_and_finite(self, scales):
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda x: math.exp(-x), scales)
 
     def test_deterministic(self):
         f = lambda x: math.exp(-x) / (1.0 + x * x)  # noqa: E731
-        assert integrate_semi_infinite(f) == integrate_semi_infinite(f)
+        assert integrate_semi_infinite(f, (1.0,)) == integrate_semi_infinite(f, (1.0,))
 
     def test_nonconvergence_reports_best_estimate(self):
         # oscillation far too fast for the subdivision budget
         with pytest.raises(QuadratureError) as exc_info:
-            integrate_semi_infinite(lambda x: math.exp(-x) * math.sin(1e6 * x))
+            integrate_semi_infinite(lambda x: math.exp(-x) * math.sin(1e6 * x), (1.0, 1e-6))
         err = exc_info.value
         assert math.isfinite(err.best_estimate)
         assert err.error_estimate > 0.0
