@@ -15,6 +15,9 @@ from .specfun import DomainError
 
 __all__ = ["OrderStatsTerm", "order_terms", "ordered_pdf", "sample_ordered_gains"]
 
+# rows of Rayleigh draws sample_ordered_gains takes from the stream at once
+_DRAW_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class OrderStatsTerm:
@@ -70,13 +73,31 @@ def ordered_pdf(L: int, l: int, w):
     return out if out.ndim else float(out)
 
 
-def sample_ordered_gains(L: int, rng: np.random.Generator, size=None):
+def sample_ordered_gains(L: int, rng: np.random.Generator, size=None, out=None):
     """Ascending vector(s) of L gains: draw L i.i.d. Rayleigh, sort.
 
     With size=None returns shape (L,); with integer size returns (size, L),
-    rows sorted ascending.
+    rows sorted ascending. The sort is an insertion network of compare-swaps
+    (minimum and maximum, so the values are those np.sort gives) over whole
+    columns: column k of the result is one contiguous array of the k-th
+    smallest gains, and no row needs a sort call of its own. With out (a
+    float64 array of shape (L, size)) the columns are written to its rows
+    and out.T is returned.
     """
     _check_indices(L, 1)
-    shape = (L,) if size is None else (size, L)
-    draws = rng.rayleigh(scale=1.0, size=shape)
-    return np.sort(draws, axis=-1)
+    n = 1 if size is None else size
+    rows = np.empty((L, n)) if out is None else out
+    # the draws come _DRAW_ROWS rows at a time, in stream order, so the
+    # unsorted copy never holds more than that many rows
+    for start in range(0, n, _DRAW_ROWS):
+        draws = rng.rayleigh(scale=1.0, size=(min(_DRAW_ROWS, n - start), L))
+        part = rows[:, start : start + len(draws)]
+        part[0] = draws[:, 0]
+        for i in range(1, L):
+            # sift draw i down through the i sorted rows, carried in its column
+            carry = draws[:, i]
+            for j in range(i, 0, -1):
+                np.maximum(part[j - 1], carry, out=part[j])
+                np.minimum(part[j - 1], carry, out=carry)
+            part[0] = carry
+    return rows.T[0] if size is None else rows.T

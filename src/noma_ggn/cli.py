@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import time
 from dataclasses import dataclass
 
 from .ggd import GGNoiseModel
@@ -266,7 +267,8 @@ def run_sweep(params: RunParams, metrics: tuple) -> list:
     """Evaluate the requested metrics over the SNR grid.
 
     Rows come back sorted by (snr_db, user, metric). Numeric failures are
-    re-raised as NumericFailure naming the offending point.
+    re-raised as NumericFailure and DomainError as ConfigError, each naming
+    the offending metric.
     """
     model = GGNoiseModel.normalized(params.alpha)
     records = []
@@ -328,6 +330,10 @@ def run_sweep(params: RunParams, metrics: tuple) -> list:
                     records.append(SweepRecord(db, l, metric, params.alpha, value))
         except (QuadratureError, NumericFailure) as exc:
             raise NumericFailure(f"metric {metric!r}: {exc}") from exc
+        except DomainError as exc:
+            # the library rejects the point itself, e.g. an SNR whose event
+            # quantities overflow a double
+            raise ConfigError(f"metric {metric!r}: {exc}") from exc
     records.sort(key=lambda r: (r.snr_db, r.user, r.metric))
     return records
 
@@ -353,8 +359,16 @@ _SUBCOMMAND_METRICS = {
 _SUBCOMMAND_DEFAULTS = {"diversity": {"snr_db": "60:20:80"}}
 
 
+def _timed(route, *args) -> tuple:
+    """route(*args).value and its wall time in seconds."""
+    start = time.perf_counter()
+    value = route(*args).value
+    return value, time.perf_counter() - start
+
+
 def _selftest() -> int:
-    """Cross-route agreement on the reference three-user configuration."""
+    """Cross-route agreement on the reference three-user configuration. Each
+    line gives the wall time of the two routes its check compares."""
     failures = 0
     for alpha in (0.5, 1.0, 2.0):
         model = GGNoiseModel.normalized(alpha)
@@ -363,18 +377,18 @@ def _selftest() -> int:
             config = params.system_config(_db_to_linear(db))
             for l in range(1, 4):
                 event = canonical_event(config, l)
-                exact = pep_exact(event, model).value
-                direct = pep_direct(event, model).value
-                checks = [("direct", direct)]
+                exact, exact_s = _timed(pep_exact, event, model)
+                checks = [("direct", *_timed(pep_direct, event, model))]
                 if alpha in (1.0, 2.0):
-                    checks.append(("closed", pep_closed_form(event, alpha).value))
-                for name, other in checks:
+                    checks.append(("closed", *_timed(pep_closed_form, event, alpha)))
+                for name, other, other_s in checks:
                     rel = abs(exact - other) / max(abs(exact), 1e-300)
                     ok = rel < 1e-6
                     failures += 0 if ok else 1
                     print(
                         f"{'PASS' if ok else 'FAIL'} alpha={alpha} snr={db:g}dB "
-                        f"user={l} quadrature-vs-{name} rel_err={rel:.2e}"
+                        f"user={l} quadrature-vs-{name} rel_err={rel:.2e} "
+                        f"time={1e3 * (exact_s + other_s):.2f}ms"
                     )
     return 0 if failures == 0 else 3
 

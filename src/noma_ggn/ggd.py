@@ -64,13 +64,23 @@ class GGNoiseModel:
         out = coeff * np.exp(-((self.lam * np.abs(n)) ** self.alpha))
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size=None, out=None):
         """Exact draws: X = sign * G**(1/alpha) / lam with G ~ Gamma(1/alpha, 1).
 
         (lam |X|)^alpha is then Gamma(1/alpha, 1) distributed, which is the
-        sampler's testable signature.
+        sampler's testable signature. With out (a C-contiguous float64 array
+        of shape size) the draws are made in it and it is returned; the
+        values are those of a call without out.
         """
-        g = rng.standard_gamma(1.0 / self.alpha, size=size)
-        s = rng.integers(0, 2, size=size) * 2 - 1
-        x = s * g ** (1.0 / self.alpha) / self.lam
-        return x if size is not None else float(x)
+        g = rng.standard_gamma(1.0 / self.alpha, size=size, out=out)
+        s = rng.integers(0, 2, size=size)
+        if size is None:
+            return float((s * 2 - 1) * g ** (1.0 / self.alpha) / self.lam)
+        # in place, operation for operation as the expression above: `**=`
+        # takes the same scalar-exponent shortcuts as `**` (sqrt at 1/2)
+        g **= 1.0 / self.alpha
+        s *= 2
+        s -= 1
+        g *= s
+        g /= self.lam
+        return g

@@ -8,6 +8,8 @@ least _POOL_MIN_BLOCKS blocks splits them into min(usable CPUs, blocks)
 contiguous ranges and runs each range in its own forked worker process; a
 smaller call, a call on one CPU, a call from a daemonic process or a call on
 a platform without a safe fork runs its blocks in the calling process.
+Every block of a range draws into and computes in the same arrays, which
+the range allocates once.
 
 Each estimator takes a sequence of sweep points (events or configurations)
 and draws every block once for all of them, so a one-point call is a
@@ -21,6 +23,7 @@ import functools
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .channel import sample_ordered_gains
 from .ggd import GGNoiseModel, stream_rng
-from .noma import ErrorEvent, SystemConfig, _check_noise, sic_decide
+from .noma import ErrorEvent, SystemConfig, _check_noise, _Scratch, sic_decide
 from .specfun import DomainError
 
 __all__ = ["McEstimate", "BLOCK_TRIALS", "wilson_interval", "estimate_pep_mc", "simulate_ber"]
@@ -62,9 +65,10 @@ def wilson_interval(errors: int, trials: int) -> tuple:
 @dataclass(frozen=True)
 class McEstimate:
     """Binomial point estimate with 95% Wilson bounds, its seed, the number
-    of blocks its trials ran in and the number of processes that ran them
-    (1 when the calling process ran them itself). `==` compares the result
-    only: blocks follows from trials and workers from the machine."""
+    of blocks its trials ran in, the number of processes that ran them (1
+    when the calling process ran them itself) and the wall time in seconds
+    of the call that produced it. `==` compares the result only: blocks
+    follows from trials, workers and seconds from the machine."""
 
     point: float
     trials: int
@@ -73,13 +77,14 @@ class McEstimate:
     seed: int
     blocks: int = field(compare=False)
     workers: int = field(compare=False)
+    seconds: float = field(compare=False)
 
     @classmethod
-    def from_counts(cls, errors, trials, seed, blocks, workers):
+    def from_counts(cls, errors, trials, seed, blocks, workers, seconds):
         lo, hi = wilson_interval(errors, trials)
         return cls(
             point=errors / trials, trials=trials, ci_low=lo, ci_high=hi, seed=seed,
-            blocks=blocks, workers=workers,
+            blocks=blocks, workers=workers, seconds=seconds,
         )
 
 
@@ -116,8 +121,12 @@ def _usable_cpus() -> int:
 
 def _count_range(block_fn, points, model: GGNoiseModel, seed: int, blocks: list) -> np.ndarray:
     """block_fn's error counts summed over the (seed, block) streams of the
-    (block, size) pairs in blocks."""
-    return sum(block_fn(points, model, stream_rng(seed, block), n) for block, n in blocks)
+    (block, size) pairs in blocks; every block draws into and works in the
+    same scratch arrays."""
+    scratch = _Scratch()
+    return sum(
+        block_fn(points, model, stream_rng(seed, block), n, scratch) for block, n in blocks
+    )
 
 
 def _pool_workers(blocks: int) -> tuple:
@@ -166,18 +175,29 @@ def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int)
 
 
 def _pep_block(
-    events: Sequence[ErrorEvent], model: GGNoiseModel, rng: np.random.Generator, n: int
+    events: Sequence[ErrorEvent],
+    model: GGNoiseModel,
+    rng: np.random.Generator,
+    n: int,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
     """Pairwise decision errors per event (int64) in one block of n trials
-    drawn from rng; every event sees the same gains and noise."""
-    gains = sample_ordered_gains(events[0].L, rng, n)
-    nn = _decision_noise_model(model.alpha).sample(rng, size=n)
+    drawn from rng; every event sees the same gains and noise. The noise
+    and the event tests use scratch's arrays (fresh ones without it)."""
+    scratch = _Scratch() if scratch is None else scratch
+    gains = sample_ordered_gains(events[0].L, rng, n, out=scratch("gains", (events[0].L, n)))
+    nn = _decision_noise_model(model.alpha).sample(rng, size=n, out=scratch("noise", n))
+    lhs, rhs = scratch("pep.lhs", n), scratch("pep.rhs", n)
+    hit = scratch("pep.hit", n, bool)
     errors = np.empty(len(events), dtype=np.int64)
     for i, event in enumerate(events):
+        # (h zeta + n)^2 <= (h X + n)^2, each operation in place
         h = gains[:, event.l - 1]
-        lhs = (h * event.zeta + nn) ** 2
-        rhs = (h * event.X + nn) ** 2
-        errors[i] = np.count_nonzero(lhs <= rhs)
+        for side, value in ((lhs, event.zeta), (rhs, event.X)):
+            np.multiply(h, value, out=side)
+            np.add(side, nn, out=side)
+            np.square(side, out=side)
+        errors[i] = np.count_nonzero(np.less_equal(lhs, rhs, out=hit))
     return errors
 
 
@@ -197,34 +217,52 @@ def estimate_pep_mc(
     must have one user count, and the model must be unit-variance with each
     event's noise_alpha. Returns one McEstimate per event.
     """
+    start = time.perf_counter()
     _check_shared([ev.L for ev in events], "user count")
     for event in events:
         _check_noise(event.config, model.alpha, model.sigma2)
     errors, blocks, workers = _count_blocks(_pep_block, events, model, trials, seed)
+    seconds = time.perf_counter() - start
     return tuple(
-        McEstimate.from_counts(int(e), trials, seed, blocks, workers) for e in errors
+        McEstimate.from_counts(int(e), trials, seed, blocks, workers, seconds) for e in errors
     )
 
 
 def _ber_block(
-    configs: Sequence[SystemConfig], model: GGNoiseModel, rng: np.random.Generator, n: int
+    configs: Sequence[SystemConfig],
+    model: GGNoiseModel,
+    rng: np.random.Generator,
+    n: int,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
     """Per-config, per-user bit errors (int64, shape (configs, L)) in one
     block of n trials drawn from rng; every config sees the same gains,
-    symbols and noise."""
+    symbols and noise. Symbols, noise and the SIC chain use scratch's
+    arrays (fresh ones without it)."""
+    scratch = _Scratch() if scratch is None else scratch
     L = configs[0].L
     phi = np.asarray(configs[0].constellation)
     errors = np.zeros((len(configs), L), dtype=np.int64)
-    gains = sample_ordered_gains(L, rng, n)
-    symbols = phi[rng.integers(0, len(phi), size=(n, L))]
-    nn = _decision_noise_model(model.alpha).sample(rng, size=(n, L))
+    gains = sample_ordered_gains(L, rng, n, out=scratch("gains", (L, n)))
+    symbols = np.take(
+        phi, rng.integers(0, len(phi), size=(n, L)), out=scratch("symbols", (n, L)), mode="clip"
+    )
+    nn = _decision_noise_model(model.alpha).sample(
+        rng, size=(n, L), out=scratch("noise", (n, L))
+    )
+    composite, received = scratch("ber.composite", n), scratch("ber.received", n)
+    wrong = scratch("ber.wrong", n, bool)
     for i, config in enumerate(configs):
         amps = np.array([config.amplitude(k) for k in range(1, L + 1)])
-        composite = symbols @ amps
+        np.matmul(symbols, amps, out=composite)
         for l in range(1, L + 1):
             h = gains[:, l - 1]
-            decided = sic_decide(phi, amps, h, h * composite + nn[:, l - 1], l)
-            errors[i, l - 1] = np.count_nonzero(decided != symbols[:, l - 1])
+            np.multiply(h, composite, out=received)
+            np.add(received, nn[:, l - 1], out=received)
+            decided = sic_decide(phi, amps, h, received, l, scratch)
+            errors[i, l - 1] = np.count_nonzero(
+                np.not_equal(decided, symbols[:, l - 1], out=wrong)
+            )
     return errors
 
 
@@ -244,12 +282,16 @@ def simulate_ber(
     constellation, and the model must be unit-variance with each config's
     noise_alpha. Returns, per config, a tuple of one McEstimate per user.
     """
+    start = time.perf_counter()
     _check_shared([c.L for c in configs], "user count")
     _check_shared([c.constellation for c in configs], "constellation")
     for config in configs:
         _check_noise(config, model.alpha, model.sigma2)
     errors, blocks, workers = _count_blocks(_ber_block, configs, model, trials, seed)
+    seconds = time.perf_counter() - start
     return tuple(
-        tuple(McEstimate.from_counts(int(e), trials, seed, blocks, workers) for e in row)
+        tuple(
+            McEstimate.from_counts(int(e), trials, seed, blocks, workers, seconds) for e in row
+        )
         for row in errors
     )

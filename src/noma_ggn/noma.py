@@ -101,35 +101,89 @@ def _check_symbol(config: SystemConfig, x: float) -> float:
     return float(x)
 
 
-def nearest_symbol(phi: np.ndarray, residual: np.ndarray, c: np.ndarray) -> np.ndarray:
+class _Scratch:
+    """Arrays reused from call to call, one per name: a request gets the
+    array kept under that name, allocated anew only when it is missing or
+    has another shape or dtype. A caller that keeps one _Scratch for a range
+    of Monte Carlo blocks allocates its arrays once per range; arrays freed
+    after every block let glibc trim the heap and the next block fault the
+    pages back in."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._arrays[name] = np.empty(shape, dtype)
+        return arr
+
+
+def nearest_symbol(
+    phi: np.ndarray, residual: np.ndarray, c: np.ndarray, scratch: _Scratch | None = None
+) -> np.ndarray:
     """One layer of sic_decide, row by row: the point of the ascending
     constellation phi minimizing |residual - c * x|. A row moves to a later
     point only when that point is strictly closer, so ties break toward the
-    smaller symbol."""
-    decided = np.full(residual.shape, phi[0])
-    best = np.abs(residual - c * phi[0])
-    # one distance buffer written in place: fresh arrays per point let glibc
-    # trim the heap and fault it back in on every Monte Carlo block
-    dist = np.empty_like(best)
-    for x in phi[1:]:
-        np.multiply(c, x, out=dist)
+    smaller symbol.
+
+    The result and the work arrays come from scratch (fresh ones without
+    it); the result is overwritten by the next call that shares scratch.
+    """
+    scratch = _Scratch() if scratch is None else scratch
+    shape = np.shape(residual)
+    best = scratch("nearest.best", shape)
+    dist = scratch("nearest.dist", shape)
+    index = scratch("nearest.index", shape, np.intp)
+    np.multiply(c, phi[0], out=best)
+    np.subtract(residual, best, out=best)
+    np.abs(best, out=best)
+    # index is the first point of the running minimum. Point i comes after
+    # every earlier index, so max(index, i * [dist < best]) moves exactly
+    # the strictly closer rows to i: a select without the masked copy, which
+    # branches on every row of a random mask and costs several times more
+    for i in range(1, len(phi)):
+        np.multiply(c, phi[i], out=dist)
         np.subtract(residual, dist, out=dist)
         np.abs(dist, out=dist)
-        np.copyto(decided, x, where=dist < best)
+        if i == 1:
+            np.less(dist, best, out=index)
+        else:
+            moved = np.less(dist, best, out=scratch("nearest.moved", shape, np.intp))
+            np.multiply(moved, i, out=moved)
+            np.maximum(index, moved, out=index)
         np.minimum(best, dist, out=best)
-    return decided
+    # every index is in range; "clip" skips the bounds check
+    return np.take(phi, index, out=scratch("nearest.decided", shape), mode="clip")
 
 
 def sic_decide(
-    phi: np.ndarray, amps: np.ndarray, h: np.ndarray, received: np.ndarray, l: int
+    phi: np.ndarray,
+    amps: np.ndarray,
+    h: np.ndarray,
+    received: np.ndarray,
+    l: int,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
     """User l's layer-l decisions, row by row: layers 1..l are decided in
     turn by nearest_symbol at amplitude amps[k-1] * h (amps[k-1] =
-    sqrt(a_k gamma_bar)), each decided layer below l subtracted first."""
+    sqrt(a_k gamma_bar)), each decided layer below l subtracted first.
+
+    Work arrays and the result come from scratch as in nearest_symbol;
+    received is left as it is.
+    """
+    scratch = _Scratch() if scratch is None else scratch
+    shape = np.shape(received)
+    c = scratch("sic.amplitude", shape)
     resid = received
     for k in range(1, l):
-        resid = resid - amps[k - 1] * h * nearest_symbol(phi, resid, amps[k - 1] * h)
-    return nearest_symbol(phi, resid, amps[l - 1] * h)
+        np.multiply(amps[k - 1], h, out=c)
+        layer = nearest_symbol(phi, resid, c, scratch)
+        np.multiply(c, layer, out=layer)
+        resid = np.subtract(resid, layer, out=scratch("sic.residual", shape))
+    np.multiply(amps[l - 1], h, out=c)
+    return nearest_symbol(phi, resid, c, scratch)
 
 
 @dataclass(frozen=True)
@@ -182,8 +236,9 @@ def build_error_event(
     """Construct an ErrorEvent and its derived decision quantities.
 
     sic_transmitted defaults to sic_detected, i.e. perfect SIC at the lower
-    layers. upsilon exactly on the decision boundary raises
-    DegenerateEventError.
+    layers. upsilon on the decision boundary (|upsilon| <= 1e-12 max(X^2,
+    zeta^2)) raises DegenerateEventError; X^2 or zeta^2 beyond the largest
+    double raises DomainError.
     """
     if not 1 <= l <= config.L:
         raise DomainError(f"user index must be in 1..{config.L}, got {l!r}")
@@ -211,7 +266,15 @@ def build_error_event(
     delta_check = x_l - x_check_l
     zeta = config.amplitude(l) * delta_check + X
     upsilon = X * X - zeta * zeta
-    scale = max(X * X, zeta * zeta, 1.0)
+    # scale-free in gamma_bar: X and zeta both scale with sqrt(gamma_bar), so
+    # an absolute floor would make every event degenerate at low SNR;
+    # X = zeta = 0 gives upsilon = 0 <= 0 and stays degenerate
+    scale = max(X * X, zeta * zeta)
+    if not math.isfinite(scale):
+        raise DomainError(
+            f"X^2 or zeta^2 overflows for (l={l}, gamma_bar={config.gamma_bar!r}): "
+            f"X={X!r}, zeta={zeta!r}"
+        )
     if abs(upsilon) <= 1e-12 * scale:
         raise DegenerateEventError(
             f"upsilon = 0 for (l={l}, x={x_l}, x_check={x_check_l}, "

@@ -84,6 +84,22 @@ class TestSampler:
         gains = sample_ordered_gains(1, stream_rng(6), size=10**6)
         assert float(np.mean(gains**2)) == pytest.approx(2.0, rel=0.01)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [None, 1, 1000, 20000])
+    def test_equals_np_sort_of_same_draws(self, L, size):
+        expected = np.sort(stream_rng(3, L).rayleigh(size=(L,) if size is None else (size, L)))
+        gains = sample_ordered_gains(L, stream_rng(3, L), size=size)
+        assert gains.shape == expected.shape
+        np.testing.assert_array_equal(gains, expected)
+        if size is not None:
+            # one draw for all rows or several runs of rows (20000): the same
+            # stream either way; each column is one contiguous run, and with
+            # out, out holds the columns
+            assert all(gains[:, k].flags.c_contiguous for k in range(L))
+            out = np.empty((L, size))
+            assert sample_ordered_gains(L, stream_rng(3, L), size=size, out=out).base is out
+            np.testing.assert_array_equal(out.T, expected)
+
     def test_reproducible(self):
         a = sample_ordered_gains(3, stream_rng(9, 2), size=100)
         b = sample_ordered_gains(3, stream_rng(9, 2), size=100)

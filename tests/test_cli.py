@@ -2,7 +2,7 @@
 
 import pytest
 
-from noma_ggn import GGNoiseModel, canonical_event, estimate_pep_mc, simulate_ber
+from noma_ggn import GGNoiseModel, canonical_event, estimate_pep_mc, pep_direct, simulate_ber
 from noma_ggn.cli import (
     CSV_HEADER,
     ConfigError,
@@ -226,6 +226,29 @@ class TestMain:
             value = float(row.split(",")[4])
             assert value == pytest.approx(pep_mp(canonical_event(config, l)), rel=1e-10, abs=0.0)
 
+    def test_very_low_snr_prints_values(self, tmp_path, capsys):
+        # -130 dB: every event kept its class (the degeneracy test is
+        # scale-free), and the values match the direct-averaging route
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text("alpha=2\nsnr_db=-130\nmetrics=pep_analytic\n")
+        assert main(["pep", str(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        config = parse_config(cfg.read_text()).system_config(1e-13)
+        for l, row in enumerate(rows, start=1):
+            value = float(row.split(",")[4])
+            direct = pep_direct(canonical_event(config, l), GGNoiseModel.normalized(2.0)).value
+            assert 0.49 < value < 0.5
+            assert value == pytest.approx(direct, rel=1e-8, abs=0.0)
+
+    def test_overflowing_event_exit_code(self, tmp_path, capsys):
+        # 10^308.1 is a finite SNR, but X^2 and zeta^2 of its events overflow
+        cfg = tmp_path / "glare.cfg"
+        cfg.write_text("alpha=2\nsnr_db=3081\nmetrics=pep_analytic\n")
+        assert main(["pep", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "overflows" in err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["pep", str(tmp_path / "absent.cfg")]) == 2
 
@@ -240,3 +263,6 @@ class TestMain:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # every check line ends with its wall time
+        for line in out.splitlines():
+            assert line.startswith("PASS ") and float(line.rsplit(" time=", 1)[1][:-2]) > 0.0

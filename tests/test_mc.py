@@ -1,10 +1,12 @@
 """Monte Carlo: pairwise experiments, full SIC BER, determinism, intervals."""
 
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -379,3 +381,101 @@ class TestWorkers:
             timeout=60, check=True,
         ).stdout
         assert out.strip() == "[]"
+
+
+class TestBitIdentity:
+    """Error counts at seed 21, pinned to the values the kernels gave before
+    the compare-swap gain sort, the in-place event tests and the SIC layers
+    on reused arrays: any change of stream, draw order or arithmetic shows
+    here. Each case has five PEP events (canonical events at 5, 15 and 30
+    dB and two destructive events at 15 dB) and three BER configurations."""
+
+    SPLITS = {"bpsk": ((0.7, 0.2, 0.1), (-1.0, 1.0)), "4pam": ((0.8, 0.2), PAM4)}
+    IN_PROCESS = 2 * mc.BLOCK_TRIALS + 4321  # three blocks, a partial last one
+    POOLED = mc._POOL_MIN_BLOCKS * mc.BLOCK_TRIALS + 99
+    COUNTS = {
+        ("bpsk", 0.5, IN_PROCESS): (
+            [3893, 3770, 7294, 547, 286, 812, 22, 2, 1, 135260, 135387],
+            [[16925, 24147, 21597], [7887, 9083, 5786], [1315, 470, 126]],
+        ),
+        ("bpsk", 2.0, IN_PROCESS): (
+            [5652, 4675, 12800, 605, 95, 248, 20, 0, 0, 135382, 135393],
+            [[24487, 39647, 40994], [12764, 16932, 8973], [1970, 300, 15]],
+        ),
+        ("4pam", 0.5, IN_PROCESS): (
+            [586, 620, 58, 25, 2, 0, 135371, 135393],
+            [[52880, 56757], [51172, 51535], [50897, 50906]],
+        ),
+        ("4pam", 2.0, IN_PROCESS): (
+            [643, 313, 73, 3, 0, 0, 135389, 135393],
+            [[53597, 60306], [51090, 51179], [50899, 50901]],
+        ),
+        ("bpsk", 2.0, POOLED): (
+            [16154, 13754, 36848, 1756, 281, 691, 55, 1, 0, 393287, 393315],
+            [[71052, 114994, 119318], [37269, 49158, 26017], [5765, 840, 40]],
+        ),
+        ("4pam", 0.5, POOLED): (
+            [1738, 1859, 187, 67, 7, 0, 393251, 393312],
+            [[153518, 164824], [148423, 149463], [147634, 147621]],
+        ),
+    }
+
+    @pytest.mark.parametrize("case,alpha,trials", sorted(COUNTS))
+    def test_counts_are_pinned(self, monkeypatch, case, alpha, trials):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        a, phi = self.SPLITS[case]
+        configs = [
+            SystemConfig(a=a, gamma_bar=db(v), constellation=phi, noise_alpha=alpha)
+            for v in (5.0, 15.0, 30.0)
+        ]
+        events = [canonical_event(c, l) for c in configs for l in range(1, len(a) + 1)]
+        events += [ev for ev, _ in enumerate_error_events(configs[1], len(a)) if ev.mu == 0][:2]
+        model = GGNoiseModel.normalized(alpha)
+        peps = estimate_pep_mc(events, model, trials, 21)
+        rows = simulate_ber(configs, model, trials, 21)
+        pep_counts, ber_counts = self.COUNTS[(case, alpha, trials)]
+        assert [round(e.point * trials) for e in peps] == pep_counts
+        assert [[round(e.point * trials) for e in row] for row in rows] == ber_counts
+        pooled = trials == self.POOLED and HAS_FORK
+        assert {e.workers for e in peps} == {e.workers for row in rows for e in row} == {
+            2 if pooled else 1
+        }
+
+
+class TestCallRecord:
+    def test_seconds_is_the_call_wall_time_outside_equality(self):
+        model = GGNoiseModel.normalized(2.0)
+        (est,) = estimate_pep_mc([canonical_event(three_user(10.0), 1)], model, 5000, 1)
+        (row,) = simulate_ber([three_user(10.0)], model, 5000, 1)
+        assert est.seconds > 0.0
+        assert len({e.seconds for e in row}) == 1 and row[0].seconds > 0.0
+        assert dataclasses.replace(est, seconds=est.seconds + 1.0) == est
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
+def test_pooled_call_from_a_thread_matches_main_thread(monkeypatch):
+    # the pool forks while another thread of the caller is alive; the
+    # forked workers run only block code, so the counts cannot depend on it
+    monkeypatch.setattr(mc, "_POOL_MIN_BLOCKS", 2)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    configs = [three_user(db(v)) for v in (5.0, 20.0)]
+    model = GGNoiseModel.normalized(2.0)
+    trials = TestWorkers.TRIALS
+    on_main = simulate_ber(configs, model, trials, 10)
+    stop = threading.Event()
+    bystander = threading.Thread(target=stop.wait)
+    bystander.start()
+    result = []
+    try:
+        caller = threading.Thread(
+            target=lambda: result.append(simulate_ber(configs, model, trials, 10))
+        )
+        caller.start()
+        caller.join(timeout=120)
+        assert bystander.is_alive() and not caller.is_alive()
+    finally:
+        stop.set()
+        bystander.join()
+    (in_thread,) = result
+    assert in_thread == on_main
+    assert {e.workers for row in in_thread for e in row} == {2}

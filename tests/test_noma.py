@@ -12,6 +12,7 @@ from noma_ggn.noma import (
     BPSK,
     DegenerateEventError,
     SystemConfig,
+    _Scratch,
     build_error_event,
     enumerate_error_events,
     nearest_symbol,
@@ -126,6 +127,25 @@ class TestNearestSymbol:
         got = nearest_symbol(phi, residual, c)
         assert got.tolist() == nearest_symbol_argmin(phi, residual, c).tolist()
 
+    @pytest.mark.parametrize("phi", [BPSK, PAM4, (-2.0, 0.5, 1.5)], ids=["bpsk", "4pam", "3pt"])
+    def test_shared_scratch_gives_fresh_results(self, phi):
+        # one scratch across calls of several lengths (a partial last
+        # block) decides as fresh arrays do, and leaves the inputs alone
+        phi = np.array(phi)
+        rng = np.random.default_rng(5)
+        scratch = _Scratch()
+        amps = np.array([2.0, 1.0, 0.5])
+        for n in (1000, 1000, 333, 1000):
+            residual = rng.normal(scale=4.0, size=n)
+            h = rng.rayleigh(size=n)
+            kept = residual.copy()
+            got = nearest_symbol(phi, residual, h, scratch).copy()
+            assert got.tolist() == nearest_symbol_argmin(phi, residual, h).tolist()
+            for l in (1, 2, 3):
+                shared = sic_decide(phi, amps, h, residual, l, scratch).copy()
+                assert shared.tolist() == sic_decide(phi, amps, h, residual, l).tolist()
+            np.testing.assert_array_equal(residual, kept)
+
     def test_ties_go_to_smaller_symbol(self):
         phi = np.array(PAM4)
         residual = np.array([0.0, 5.0, 2.0, -4.0])
@@ -168,6 +188,28 @@ class TestBuildErrorEvent:
         cfg = SystemConfig(a=(0.5, 0.5), gamma_bar=10.0)
         with pytest.raises(DegenerateEventError):
             build_error_event(cfg, 1, x_l=1.0, x_check_l=-1.0, interferers=(-1.0,))
+
+    def test_zero_snr_is_degenerate(self):
+        # X = zeta = 0: upsilon = 0 whatever the scale
+        cfg = SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=0.0)
+        with pytest.raises(DegenerateEventError):
+            build_error_event(cfg, 1, x_l=1.0, x_check_l=-1.0, interferers=(1.0, 1.0))
+
+    @pytest.mark.parametrize("snr_db", [-130.0, -200.0, -300.0])
+    def test_low_snr_is_not_degenerate(self, snr_db):
+        # the test is scale-free in gamma_bar, so an event keeps its class at
+        # any SNR; an absolute floor made every event degenerate here
+        ev = build_error_event(
+            three_user(gamma_bar=10.0 ** (snr_db / 10.0)), 1, x_l=1.0, x_check_l=-1.0,
+            interferers=(1.0, 1.0),
+        )
+        assert ev.mu == 1 and ev.upsilon < 0.0
+
+    def test_overflowing_event_raises_domain_error(self):
+        # gamma_bar is finite but X^2 and zeta^2 are not
+        cfg = three_user(gamma_bar=10.0 ** 308.1)
+        with pytest.raises(DomainError):
+            build_error_event(cfg, 1, x_l=1.0, x_check_l=-1.0, interferers=(1.0, 1.0))
 
     def test_rejects_foreign_symbol(self):
         with pytest.raises(DomainError):
