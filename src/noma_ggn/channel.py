@@ -60,8 +60,13 @@ def ordered_pdf(L: int, l: int, w):
     evaluated in the equivalent product form
     A_l * w * exp(-(L-l+1) w^2 / 2) * (1 - exp(-w^2 / 2))^(l-1),
     which stays accurate at small w where the alternating sum cancels.
+    A Python float w is evaluated with math; anything else goes through
+    numpy, and an array gives an array.
     """
     a_l = _order_coeff(L, l)
+    if type(w) is float:
+        half_w2 = 0.5 * w * w
+        return a_l * w * math.exp(-(L - l + 1) * half_w2) * (-math.expm1(-half_w2)) ** (l - 1)
     w = np.asarray(w, dtype=float)
     half_w2 = 0.5 * w * w
     out = (

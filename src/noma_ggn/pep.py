@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .noma import (
 )
 from .specfun import (
     DomainError,
+    QuadratureError,
     erfcx,
     integrate_semi_infinite,
     lower_incomplete_gamma_reg,
@@ -55,10 +56,13 @@ class NumericFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class PepResult:
-    """Analytic PEP and the route that produced it."""
+    """Analytic PEP, the route that produced it and, for the quadrature
+    routes, the engine's absolute error estimate scaled like value (None for
+    closed forms)."""
 
     value: float
     method: str
+    error_estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -103,28 +107,76 @@ def _decay_arg(kappa: float, w: float, alpha: float) -> float:
         return math.inf
 
 
-def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
-    """Pairwise error probability conditioned on channel gain h.
+def _conditional(event: ErrorEvent, alpha: float, kappa: float) -> Callable[[float], float]:
+    """The event's conditional PEP as a function of the gain w >= 0, for
+    noise of shape alpha and the event's decay scale kappa.
 
-    Equals [Gamma(1/a) + (-1)^mu * gamma(1/a, (lambda h^2 |upsilon|)^a)] /
-    (2 Gamma(1/a)); the constructive branch is evaluated through the upper
-    regularized gamma so deep tails keep relative accuracy.
+    Equals [Gamma(1/a) + (-1)^mu * gamma(1/a, (kappa w)^a)] / (2 Gamma(1/a));
+    the constructive branch is evaluated through the upper regularized gamma
+    so deep tails keep relative accuracy.
     """
+    inv_a = 1.0 / alpha
+    if event.mu:
+
+        def pep_at(w: float) -> float:
+            z = _decay_arg(kappa, w, alpha)
+            return 0.0 if z == math.inf else 0.5 * upper_incomplete_gamma_reg(inv_a, z)
+
+    else:
+
+        def pep_at(w: float) -> float:
+            z = _decay_arg(kappa, w, alpha)
+            return 1.0 if z == math.inf else 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
+
+    return pep_at
+
+
+def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
+    """Pairwise error probability conditioned on channel gain h >= 0: the
+    function pep_direct integrates, at one gain."""
     _check_noise(event.config, model.alpha, model.sigma2)
     if h < 0.0:
         raise DomainError(f"gain must be >= 0, got {h!r}")
-    inv_a = 1.0 / model.alpha
-    z = _decay_arg(_kappa(event, model.lambda0), h, model.alpha)
-    if z == math.inf:
-        return 0.0 if event.mu else 1.0
-    if event.mu:
-        return 0.5 * upper_incomplete_gamma_reg(inv_a, z)
-    return 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
+    return _conditional(event, model.alpha, _kappa(event, model.lambda0))(h)
 
 
-def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> float:
+def _pep_quadrature(
+    route: str,
+    event: ErrorEvent,
+    alpha: float,
+    kappa: float,
+    integrand: Callable[[float], float],
+    scale: float,
+    flip: bool,
+) -> tuple:
+    """scale times the integral of integrand over the gain (one minus that
+    when flip), with the engine's error scaled alike, as (value, error).
+
+    A QuadratureError is raised again naming the route and the event's user,
+    SNR, alpha, mu and kappa, and carrying the best PEP estimate.
+    """
+    try:
+        # the gain density varies on w ~ 1, the gamma factor on w ~ 1 / kappa
+        val, err = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa))
+    except QuadratureError as exc:
+        best = scale * exc.best_estimate
+        best = 1.0 - best if flip else best
+        error = scale * exc.error_estimate
+        raise QuadratureError(
+            f"PEP by the {route} route not converged (user {event.l}, gamma_bar "
+            f"{event.gamma_bar!r}, alpha {alpha!r}, mu {event.mu}, kappa {kappa!r}): "
+            f"best estimate {best!r}, error estimate {error!r}",
+            best_estimate=best,
+            error_estimate=error,
+        ) from exc
+    val = scale * val
+    return (1.0 - val if flip else val), scale * err
+
+
+def _constructive_value(event: ErrorEvent, alpha: float, kappa: float, flip: bool) -> tuple:
     """Unconditional PEP of a constructive (mu = 1) event at decay scale kappa
-    via the combined nonnegative integrand.
+    via the combined nonnegative integrand (one minus it when flip), with
+    its error estimate.
 
     The paper's term-wise sum of T1 - T2 over the alternating
     order-statistics terms cancels to l-th order at high SNR; folding the sum
@@ -146,10 +198,9 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> float:
             wp *= big_w
         return math.exp(-_decay_arg(kappa, w, alpha)) * beta
 
-    # the gain density varies on w ~ 1, the gamma factor on w ~ 1 / kappa
-    val, _ = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa))
     a_l = _order_coeff(L, l)
-    return a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa * val
+    scale = a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa
+    return _pep_quadrature("quadrature", event, alpha, kappa, integrand, scale, flip)
 
 
 def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
@@ -161,22 +212,29 @@ def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     minus the constructive value.
     """
     _check_noise(event.config, model.alpha, model.sigma2)
-    value = _constructive_value(event, model.alpha, _kappa(event, model.lambda0))
-    if not event.mu:
-        value = 1.0 - value
-    return PepResult(value=value, method="quadrature")
+    kappa = _kappa(event, model.lambda0)
+    value, error = _constructive_value(event, model.alpha, kappa, not event.mu)
+    return PepResult(value=value, method="quadrature", error_estimate=error)
 
 
 def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     """Unconditional PEP by direct averaging of the conditional PEP over the
-    ordered-gain density. Independent of pep_exact's integrand."""
+    ordered-gain density. Independent of pep_exact's integrand.
+
+    Everything fixed for the integral (noise check, kappa, the mu branch) is
+    settled before the quadrature runs; a node evaluates the conditional PEP
+    and the density only.
+    """
+    _check_noise(event.config, model.alpha, model.sigma2)
+    kappa = _kappa(event, model.lambda0)
+    pep_at = _conditional(event, model.alpha, kappa)
+    L, l = event.L, event.l
 
     def integrand(w: float) -> float:
-        return conditional_pep(event, model, w) * ordered_pdf(event.L, event.l, w)
+        return pep_at(w) * ordered_pdf(L, l, w)
 
-    kappa = _kappa(event, model.lambda0)
-    val, _ = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa))
-    return PepResult(value=val, method="direct")
+    value, error = _pep_quadrature("direct", event, model.alpha, kappa, integrand, 1.0, False)
+    return PepResult(value=value, method="direct", error_estimate=error)
 
 
 def _laplace_tail(tau):

@@ -62,7 +62,7 @@ def erfcx(x: float) -> float:
         total = 1.0
         for n in range(1, 30):
             new = term * (2 * n - 1) * inv2x2
-            if new >= abs(term):
+            if new >= term:
                 break
             term = new
             total += -term if n % 2 else term
@@ -85,7 +85,8 @@ def _gamma_series(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * 1e-17:
+        # x > 0 and ap > 0: every term and the total are positive
+        if term < total * 1e-17:
             break
     return total * math.exp(log_prefix)
 
@@ -113,7 +114,8 @@ def _gamma_cf(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-17:
+        # |delta - 1| < 1e-17 holds for the double 1.0 alone
+        if delta == 1.0:
             break
     return math.exp(log_prefix) * h
 

@@ -87,6 +87,11 @@ def pep_mp(event: ErrorEvent) -> float:
     ordered Rayleigh gains and integrated by parts against their CDF
     F_l(w) = sum_{j >= l} C(L, j) F^j (1 - F)^(L - j), F = 1 - exp(-w^2 / 2),
     the PEP is a kappa / (2 Gamma(1/a)) int_0^inf exp(-(kappa w)^a) F_l(w) dw.
+
+    For kappa < 1 (low SNR) that integrand spreads over w ~ 1 / kappa. There
+    F_l is written as 1 - (1 - F_l): the first part integrates in closed form
+    to 1/2, and 1 - F_l = sum_{j < l} C(L, j) F^j (1 - F)^(L - j) carries
+    exp(-w^2 / 2), so the remaining integral lives on w ~ 1.
     """
     if not event.mu:
         raise DomainError("pep_mp evaluates constructive (mu = 1) events")
@@ -96,12 +101,14 @@ def pep_mp(event: ErrorEvent) -> float:
         lam = mp.sqrt(2 * mp.gamma(3 / alpha) / mp.gamma(1 / alpha))
         d = mp.sqrt(mp.mpf(event.a_l) * mp.mpf(event.gamma_bar)) * abs(mp.mpf(event.delta_check))
         kappa = lam * abs(mp.mpf(event.upsilon)) / (2 * d)
-        terms = [(math.comb(L, j), j) for j in range(l, L + 1)]
+        low_snr = kappa < 1
+        js = range(l) if low_snr else range(l, L + 1)
+        terms = [(math.comb(L, j), j) for j in js]
 
         def integrand(w):
             big_f = -mp.expm1(-w * w / 2)
-            cdf = sum(c * big_f**j * (1 - big_f) ** (L - j) for c, j in terms)
-            return mp.exp(-((kappa * w) ** alpha)) * cdf
+            part = sum(c * big_f**j * (1 - big_f) ** (L - j) for c, j in terms)
+            return mp.exp(-((kappa * w) ** alpha)) * part
 
         # the gain density varies on w ~ 1 and the tail on w ~ 1 / kappa;
         # mpmath's error target is absolute, so the integrand is rescaled to
@@ -109,9 +116,11 @@ def pep_mp(event: ErrorEvent) -> float:
         breaks = sorted({s * u for s in (0.5, 1, 2) for u in (1, 1 / kappa)})
         scale = max(integrand(b) * b for b in breaks)
         value, error = mp.quad(lambda w: integrand(w) / scale, [0] + breaks + [mp.inf], error=True)
-        if not error <= mp.mpf(10) ** (8 - MP_DPS) * value:
+        factor = alpha * kappa / (2 * mp.gamma(1 / alpha)) * scale
+        pep = mp.mpf(1) / 2 - factor * value if low_snr else factor * value
+        if not factor * error <= mp.mpf(10) ** (8 - MP_DPS) * pep:
             raise ArithmeticError(f"mpmath quadrature unconverged for {event}")
-        return float(alpha * kappa / (2 * mp.gamma(1 / alpha)) * value * scale)
+        return float(pep)
 
 
 def block_range_counts(block_fn, seed: int, trials: int, ranges: int):

@@ -73,6 +73,17 @@ class TestOrderedPdf:
                 ordered_pdf(L, l, w), direct, rtol=1e-10, atol=1e-14
             )
 
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_float_matches_array_path(self, L):
+        # math and numpy round exp, expm1 and the power differently (numpy's
+        # may be SIMD code); the power raises expm1's rounding l - 1 fold, so
+        # the paths part by up to about 1e-15 at l = 6
+        w = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.01, 12.0, 240), [40.0, 1e3]])
+        for l in range(1, L + 1):
+            scalar = [ordered_pdf(L, l, float(x)) for x in w]
+            assert all(type(v) is float for v in scalar)
+            np.testing.assert_allclose(scalar, ordered_pdf(L, l, w), rtol=2e-15, atol=0.0)
+
 
 class TestSampler:
     def test_sorted_ascending(self):

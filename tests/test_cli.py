@@ -2,6 +2,7 @@
 
 import pytest
 
+import noma_ggn.specfun
 from noma_ggn import GGNoiseModel, canonical_event, estimate_pep_mc, pep_direct, simulate_ber
 from noma_ggn.cli import (
     CSV_HEADER,
@@ -228,7 +229,8 @@ class TestMain:
 
     def test_very_low_snr_prints_values(self, tmp_path, capsys):
         # -130 dB: every event kept its class (the degeneracy test is
-        # scale-free), and the values match the direct-averaging route
+        # scale-free), and the values match the direct-averaging route and
+        # the mpmath oracle
         cfg = tmp_path / "faint.cfg"
         cfg.write_text("alpha=2\nsnr_db=-130\nmetrics=pep_analytic\n")
         assert main(["pep", str(cfg)]) == 0
@@ -239,7 +241,10 @@ class TestMain:
             value = float(row.split(",")[4])
             direct = pep_direct(canonical_event(config, l), GGNoiseModel.normalized(2.0)).value
             assert 0.49 < value < 0.5
+            reference = pep_mp(canonical_event(config, l))
             assert value == pytest.approx(direct, rel=1e-8, abs=0.0)
+            assert value == pytest.approx(reference, rel=1e-8, abs=0.0)
+            assert direct == pytest.approx(reference, rel=1e-10, abs=0.0)
 
     def test_overflowing_event_exit_code(self, tmp_path, capsys):
         # 10^308.1 is a finite SNR, but X^2 and zeta^2 of its events overflow
@@ -248,6 +253,14 @@ class TestMain:
         assert main(["pep", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "overflows" in err
+
+    def test_quadrature_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(noma_ggn.specfun, "_MAX_SUBDIVISIONS", 0)
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("snr_db=20\nmetrics=pep_analytic\n")
+        assert main(["pep", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "quadrature route" in err and "best estimate" in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["pep", str(tmp_path / "absent.cfg")]) == 2

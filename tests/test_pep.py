@@ -29,8 +29,9 @@ from noma_ggn import (
     simulate_ber,
     union_bound,
 )
+from noma_ggn.channel import ordered_pdf
 from noma_ggn.pep import _kappa
-from noma_ggn.specfun import DomainError
+from noma_ggn.specfun import DomainError, QuadratureError, integrate_semi_infinite
 from oracles import DecisionNoise, pep_mp, t1_t2_sum
 
 
@@ -112,6 +113,11 @@ class TestConditionalPep:
                 oracle = 1.0 - oracle
             assert conditional_pep(ev, model, h) == pytest.approx(oracle, abs=1e-10)
 
+
+    def test_negative_gain_rejected(self):
+        _, ev = single_user_event(10.0)
+        with pytest.raises(DomainError, match="gain must be >= 0"):
+            conditional_pep(ev, GGNoiseModel.normalized(2.0), -1e-300)
 
     def test_decay_argument_overflow_is_exact(self):
         # (kappa h)^alpha overflows a double: the tail is exactly 0 and the
@@ -215,6 +221,82 @@ class TestPepExact:
         for l in (1, 2, 3):
             for ev, _ in enumerate_error_events(cfg, l):
                 assert 0.0 <= pep_exact(ev, model).value <= 1.0
+
+
+def canonical_and_destructive(cfg, l):
+    """User l's canonical (constructive) event and its first destructive
+    one, where the user has one."""
+    destructive = [ev for ev, _ in enumerate_error_events(cfg, l) if not ev.mu]
+    return [canonical_event(cfg, l)] + destructive[:1]
+
+
+class TestPepDirect:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
+    def test_integrates_conditional_pep_times_density(self, alpha):
+        # the integrand pep_direct builds once per integral is the public
+        # conditional PEP times the ordered-gain density
+        model = GGNoiseModel.normalized(alpha)
+        for snr_db in range(-10, 121, 10):
+            cfg = three_user(db(snr_db), alpha)
+            for l in (1, 2, 3):
+                for ev in canonical_and_destructive(cfg, l):
+                    reference, _ = integrate_semi_infinite(
+                        lambda w: conditional_pep(ev, model, w) * ordered_pdf(3, l, w),
+                        (1.0, 1.0 / _kappa(ev, model.lambda0)),
+                    )
+                    assert pep_direct(ev, model).value == pytest.approx(
+                        reference, rel=1e-14, abs=0.0
+                    )
+
+
+class TestQuadratureDiagnostics:
+    @pytest.mark.parametrize("snr_db", [-10.0, 20.0, 40.0])
+    def test_error_estimate_meets_engine_tolerance(self, snr_db):
+        # the engine stops at error <= 1e-10 of its integral; scaled like the
+        # value, that is 1e-10 of the constructive PEP (one minus a
+        # destructive one)
+        model = GGNoiseModel.normalized(2.0)
+        cfg = three_user(db(snr_db))
+        for l in (1, 2, 3):
+            for ev in canonical_and_destructive(cfg, l):
+                exact, direct = pep_exact(ev, model), pep_direct(ev, model)
+                constructive = exact.value if ev.mu else 1.0 - exact.value
+                assert 0.0 <= exact.error_estimate <= 1.000001e-10 * constructive
+                assert 0.0 <= direct.error_estimate <= 1.000001e-10 * direct.value
+        closed = pep_closed_form(canonical_event(cfg, 3), 2.0)
+        assert closed.error_estimate is None
+
+    @pytest.mark.parametrize("route", [pep_exact, pep_direct], ids=["exact", "direct"])
+    def test_unconverged_quadrature_names_event_and_best_estimate(self, monkeypatch, route):
+        model = GGNoiseModel.normalized(2.0)
+        cfg = three_user(db(20.0))
+        for ev in canonical_and_destructive(cfg, 2):
+            value = route(ev, model).value
+            with monkeypatch.context() as patch:
+                patch.setattr(noma_ggn.specfun, "_MAX_SUBDIVISIONS", 0)
+                with pytest.raises(QuadratureError) as info:
+                    route(ev, model)
+            err = info.value
+            kappa = _kappa(ev, model.lambda0)
+            method = "quadrature" if route is pep_exact else "direct"
+            for part in (
+                f"{method} route", "user 2", f"gamma_bar {cfg.gamma_bar!r}",
+                "alpha 2.0", f"mu {ev.mu}", f"kappa {kappa!r}",
+            ):
+                assert part in str(err)
+            # the initial panels' estimate and error, on the PEP's scale: the
+            # error is small next to the integral the route evaluates (one
+            # minus a destructive value for pep_exact), covers the miss, and
+            # is the engine's error scaled like its estimate
+            flipped = route is pep_exact and not ev.mu
+            integral = 1.0 - value if flipped else value
+            assert 0.0 < err.error_estimate < 1e-3 * integral
+            assert abs(err.best_estimate - value) <= err.error_estimate
+            engine = err.__cause__
+            best = 1.0 - err.best_estimate if flipped else err.best_estimate
+            assert err.error_estimate / engine.error_estimate == pytest.approx(
+                best / engine.best_estimate, rel=1e-9
+            )
 
 
 class TestMpmathPins:
