@@ -173,10 +173,10 @@ def _pep_quadrature(
     return (1.0 - val if flip else val), scale * err
 
 
-def _constructive_value(event: ErrorEvent, alpha: float, kappa: float, flip: bool) -> tuple:
+def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
     """Unconditional PEP of a constructive (mu = 1) event at decay scale kappa
-    via the combined nonnegative integrand (one minus it when flip), with
-    its error estimate.
+    via the combined nonnegative integrand, one minus it for a destructive
+    event, with its error estimate.
 
     The paper's term-wise sum of T1 - T2 over the alternating
     order-statistics terms cancels to l-th order at high SNR; folding the sum
@@ -200,7 +200,7 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float, flip: boo
 
     a_l = _order_coeff(L, l)
     scale = a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa
-    return _pep_quadrature("quadrature", event, alpha, kappa, integrand, scale, flip)
+    return _pep_quadrature("quadrature", event, alpha, kappa, integrand, scale, not event.mu)
 
 
 def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
@@ -213,7 +213,7 @@ def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     """
     _check_noise(event.config, model.alpha, model.sigma2)
     kappa = _kappa(event, model.lambda0)
-    value, error = _constructive_value(event, model.alpha, kappa, not event.mu)
+    value, error = _constructive_value(event, model.alpha, kappa)
     return PepResult(value=value, method="quadrature", error_estimate=error)
 
 
