@@ -6,7 +6,7 @@ Gaussian closed forms), BER union bounds and diversity slopes, validated by
 a seeded Monte Carlo link simulator.
 """
 
-from .channel import OrderStatsTerm, order_terms, ordered_pdf, sample_ordered_gains
+from .channel import ordered_pdf, sample_ordered_gains
 from .ggd import GGNoiseModel, lambda0, stream_rng
 from .mc import McEstimate, estimate_pep_mc, simulate_ber, wilson_interval
 from .noma import (
@@ -33,7 +33,6 @@ from .pep import (
 from .specfun import (
     DomainError,
     QuadratureError,
-    erfcx,
     integrate_semi_infinite,
     lower_incomplete_gamma_reg,
     upper_incomplete_gamma_reg,
@@ -50,7 +49,6 @@ __all__ = [
     "GGNoiseModel",
     "McEstimate",
     "NumericFailure",
-    "OrderStatsTerm",
     "PepResult",
     "QuadratureError",
     "SystemConfig",
@@ -60,12 +58,10 @@ __all__ = [
     "conditional_pep",
     "diversity_order",
     "enumerate_error_events",
-    "erfcx",
     "estimate_pep_mc",
     "integrate_semi_infinite",
     "lambda0",
     "lower_incomplete_gamma_reg",
-    "order_terms",
     "ordered_pdf",
     "pep_closed_form",
     "pep_direct",

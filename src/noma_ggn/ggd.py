@@ -64,8 +64,9 @@ class GGNoiseModel:
         out = coeff * np.exp(-((self.lam * np.abs(n)) ** self.alpha))
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None, out=None):
-        """Exact draws: X = sign * G**(1/alpha) / lam with G ~ Gamma(1/alpha, 1).
+    def sample(self, rng: np.random.Generator, size, out=None):
+        """An array of shape size of exact draws: X = sign * G**(1/alpha) / lam
+        with G ~ Gamma(1/alpha, 1).
 
         (lam |X|)^alpha is then Gamma(1/alpha, 1) distributed, which is the
         sampler's testable signature. With out (a C-contiguous float64 array
@@ -74,10 +75,9 @@ class GGNoiseModel:
         """
         g = rng.standard_gamma(1.0 / self.alpha, size=size, out=out)
         s = rng.integers(0, 2, size=size)
-        if size is None:
-            return float((s * 2 - 1) * g ** (1.0 / self.alpha) / self.lam)
-        # in place, operation for operation as the expression above: `**=`
-        # takes the same scalar-exponent shortcuts as `**` (sqrt at 1/2)
+        # in place, operation for operation as (s * 2 - 1) * g ** (1 / alpha)
+        # / lam: `**=` takes the same scalar-exponent shortcuts as `**` (sqrt
+        # at 1/2)
         g **= 1.0 / self.alpha
         s *= 2
         s -= 1

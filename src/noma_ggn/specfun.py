@@ -16,7 +16,6 @@ __all__ = [
     "QuadratureResult",
     "lower_incomplete_gamma_reg",
     "upper_incomplete_gamma_reg",
-    "erfcx",
     "integrate_semi_infinite",
 ]
 
@@ -46,31 +45,6 @@ class QuadratureResult(NamedTuple):
 def _check_finite(name, x):
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
-
-
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2) * erfc(x).
-
-    Safe for large positive x where exp(x^2) alone would overflow: above 25
-    the standard asymptotic expansion is summed to its smallest term.
-    """
-    _check_finite("x", x)
-    if x > 25.0:
-        # erfcx(x) ~ 1/(x sqrt(pi)) * sum_n (-1)^n (2n-1)!! / (2 x^2)^n
-        inv2x2 = 1.0 / (2.0 * x * x)
-        term = 1.0
-        total = 1.0
-        for n in range(1, 30):
-            new = term * (2 * n - 1) * inv2x2
-            if new >= term:
-                break
-            term = new
-            total += -term if n % 2 else term
-        return total / (x * math.sqrt(math.pi))
-    if x < -25.0:
-        # exp(x^2) overflows and erfcx(-x) is negligible next to it
-        return math.inf
-    return math.exp(x * x) * math.erfc(x)
 
 
 def _gamma_series(a: float, x: float) -> float:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from noma_ggn import ErrorEvent, lambda0, order_terms, stream_rng
+from noma_ggn import ErrorEvent, lambda0, stream_rng
 from noma_ggn.mc import BLOCK_TRIALS
 from noma_ggn.specfun import DomainError, integrate_semi_infinite
 
@@ -60,15 +60,17 @@ def t1_t2_sum(event: ErrorEvent, alpha: float, kappa: float) -> float:
     Accurate for destructive (mu = 0) events; for mu = 1 the sum cancels to
     l-th order at high SNR, so compare it there only at moderate SNR.
     """
+    L, l = event.L, event.l
     gamma_inv_a = math.exp(math.lgamma(1.0 / alpha))
-    terms = order_terms(event.L, event.l)
+    a_l = math.factorial(L) / (math.factorial(l - 1) * math.factorial(L - l))
     acc = 0.0
-    for term in terms:
-        t1 = gamma_inv_a / term.delta
-        t2 = t2_term(alpha, kappa, term.delta)
-        sign = (-1.0) ** term.i * math.comb(event.l - 1, term.i)
+    for i in range(l):
+        delta = L - l + 1 + i
+        t1 = gamma_inv_a / delta
+        t2 = t2_term(alpha, kappa, delta)
+        sign = (-1.0) ** i * math.comb(l - 1, i)
         acc += sign * (t1 + (-1.0) ** event.mu * t2)
-    return terms[0].a_l / (2.0 * gamma_inv_a) * acc
+    return a_l / (2.0 * gamma_inv_a) * acc
 
 
 MP_DPS = 30

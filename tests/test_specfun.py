@@ -12,7 +12,6 @@ from noma_ggn.ggd import lambda0
 from noma_ggn.specfun import (
     DomainError,
     QuadratureError,
-    erfcx,
     integrate_semi_infinite,
     lower_incomplete_gamma_reg,
     upper_incomplete_gamma_reg,
@@ -117,7 +116,7 @@ class TestIncompleteGamma:
 
 
 class TestErfc:
-    # the package takes erfc from math.erfc, directly and inside erfcx
+    # the package takes erfc from math.erfc
     def test_known_values(self):
         assert math.erfc(0.0) == 1.0
         assert math.erfc(40.0) == 0.0  # double underflow: the +inf limit
@@ -127,23 +126,6 @@ class TestErfc:
     def test_reflection_and_series(self, x):
         assert math.erfc(-x) == pytest.approx(2.0 - math.erfc(x), abs=1e-12)
         assert math.erfc(x) + erf_series(x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            erfcx(math.nan)
-
-
-class TestErfcx:
-    @pytest.mark.parametrize("x", [-10.0, -1.0, 0.0, 0.5, 5.0, 24.9, 25.5, 100.0, 1e8])
-    def test_against_scipy(self, x):
-        assert erfcx(x) == pytest.approx(float(sps.erfcx(x)), rel=1e-13)
-
-    def test_large_negative_overflows_to_inf(self):
-        assert erfcx(-30.0) == math.inf
-
-    def test_matches_definition_in_safe_range(self):
-        for x in np.linspace(0.0, 20.0, 41):
-            assert erfcx(x) == pytest.approx(math.exp(x * x) * math.erfc(x), rel=1e-12)
 
 
 class TestQuadrature:
