@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import sys
 import time
@@ -41,8 +42,9 @@ BLOCK_TRIALS = 1 << 16
 # Fewest blocks a call must have before its blocks go to worker processes.
 # Below it the pool's start-up and shut-down cost (about 40 ms on 2 CPUs)
 # exceeds the block work it takes off the caller. Measured on the cheapest
-# block, a one-event PEP call (the draws alone): on 2 CPUs the pool lost at 5
-# blocks and won from 6 on; costlier blocks cross over sooner (ROADMAP item 3).
+# block, a one-event PEP call, which is its draws alone (with one comparison
+# per event it still is): on 2 CPUs the pool lost at 5 blocks and won from 6
+# on; costlier blocks cross over sooner (ROADMAP item 7).
 _POOL_MIN_BLOCKS = 6
 
 # two-sided 95%
@@ -50,9 +52,12 @@ _WILSON_Z = 1.959963984540054
 
 
 def wilson_interval(errors: int, trials: int) -> tuple:
-    """Two-sided 95 % Wilson score interval for a binomial proportion."""
+    """Two-sided 95 % Wilson score interval for a binomial proportion of
+    an integer count of errors in 0..trials."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
+    if not (isinstance(errors, numbers.Integral) and 0 <= errors <= trials):
+        raise DomainError(f"errors must be an integer in 0..{trials}, got {errors!r}")
     p = errors / trials
     z2n = _WILSON_Z * _WILSON_Z / trials
     denom = 1.0 + z2n
@@ -108,6 +113,8 @@ def _decision_noise_model(alpha: float) -> GGNoiseModel:
 def _check_shared(values, what: str) -> None:
     """The block draws depend on `what`, so every sweep point must agree on
     it; there must be at least one point."""
+    if not values:
+        raise DomainError("a sweep needs at least one point")
     if len(set(values)) != 1:
         raise DomainError(f"sweep points must share one {what}, got {sorted(set(values))}")
 
@@ -187,17 +194,16 @@ def _pep_block(
     scratch = _Scratch() if scratch is None else scratch
     gains = sample_ordered_gains(events[0].L, rng, n, out=scratch("gains", (events[0].L, n)))
     nn = _decision_noise_model(model.alpha).sample(rng, size=n, out=scratch("noise", n))
-    lhs, rhs = scratch("pep.lhs", n), scratch("pep.rhs", n)
+    edge = scratch("pep.edge", n)
     hit = scratch("pep.hit", n, bool)
     errors = np.empty(len(events), dtype=np.int64)
     for i, event in enumerate(events):
-        # (h zeta + n)^2 <= (h X + n)^2, each operation in place
-        h = gains[:, event.l - 1]
-        for side, value in ((lhs, event.zeta), (rhs, event.X)):
-            np.multiply(h, value, out=side)
-            np.add(side, nn, out=side)
-            np.square(side, out=side)
-        errors[i] = np.count_nonzero(np.less_equal(lhs, rhs, out=hit))
+        # (h zeta + n)^2 <= (h X + n)^2 is h (zeta - X) (h (zeta + X) + 2 n)
+        # <= 0, and zeta - X = amp_l delta_check is never 0: for h > 0 one
+        # comparison of n with -h (zeta + X) / 2, <= when zeta > X, else >=
+        np.multiply(gains[:, event.l - 1], -0.5 * (event.zeta + event.X), out=edge)
+        side = np.less_equal if event.zeta > event.X else np.greater_equal
+        errors[i] = np.count_nonzero(side(nn, edge, out=hit))
     return errors
 
 
@@ -250,6 +256,12 @@ def _ber_block(
     nn = _decision_noise_model(model.alpha).sample(
         rng, size=(n, L), out=scratch("noise", (n, L))
     )
+    # one contiguous row per user for the per-user reads below; the matmul
+    # still reads the (n, L) draws, so the composite sums are unchanged
+    symbol_rows = scratch("ber.symbol_rows", (L, n))
+    noise_rows = scratch("ber.noise_rows", (L, n))
+    np.copyto(symbol_rows, symbols.T)
+    np.copyto(noise_rows, nn.T)
     composite, received = scratch("ber.composite", n), scratch("ber.received", n)
     wrong = scratch("ber.wrong", n, bool)
     for i, config in enumerate(configs):
@@ -258,10 +270,10 @@ def _ber_block(
         for l in range(1, L + 1):
             h = gains[:, l - 1]
             np.multiply(h, composite, out=received)
-            np.add(received, nn[:, l - 1], out=received)
+            np.add(received, noise_rows[l - 1], out=received)
             decided = sic_decide(phi, amps, h, received, l, scratch)
             errors[i, l - 1] = np.count_nonzero(
-                np.not_equal(decided, symbols[:, l - 1], out=wrong)
+                np.not_equal(decided, symbol_rows[l - 1], out=wrong)
             )
     return errors
 

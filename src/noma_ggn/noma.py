@@ -153,7 +153,8 @@ def nearest_symbol(
             moved = np.less(dist, best, out=scratch("nearest.moved", shape, np.intp))
             np.multiply(moved, i, out=moved)
             np.maximum(index, moved, out=index)
-        np.minimum(best, dist, out=best)
+        if i < len(phi) - 1:  # the last point's minimum is never read
+            np.minimum(best, dist, out=best)
     # every index is in range; "clip" skips the bounds check
     return np.take(phi, index, out=scratch("nearest.decided", shape), mode="clip")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from noma_ggn import ErrorEvent, lambda0, stream_rng
+from noma_ggn import ErrorEvent, GGNoiseModel, lambda0, sample_ordered_gains, stream_rng
 from noma_ggn.mc import BLOCK_TRIALS
 from noma_ggn.specfun import DomainError, integrate_semi_infinite
 
@@ -123,6 +123,21 @@ def pep_mp(event: ErrorEvent) -> float:
         if not factor * error <= mp.mpf(10) ** (8 - MP_DPS) * pep:
             raise ArithmeticError(f"mpmath quadrature unconverged for {event}")
         return float(pep)
+
+
+def pep_block_squared(events, alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Pairwise decision errors of one block, trial by trial, written from
+    the decision rule: row i of the (events, n) result marks the trials in
+    which (h zeta + n)^2 <= (h X + n)^2 for event i, h the gain of its user
+    and n the decision noise (shape alpha, variance 1/2). The draws are
+    those of mc._pep_block, in its order: n ordered gain vectors, then n
+    noise samples."""
+    gains = sample_ordered_gains(events[0].L, rng, n)
+    noise = GGNoiseModel(alpha=alpha, sigma2=0.5).sample(rng, n)
+    return np.array([
+        (gains[:, ev.l - 1] * ev.zeta + noise) ** 2 <= (gains[:, ev.l - 1] * ev.X + noise) ** 2
+        for ev in events
+    ])
 
 
 def block_range_counts(block_fn, seed: int, trials: int, ranges: int):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from noma_ggn import (
@@ -19,13 +20,14 @@ from noma_ggn import (
     estimate_pep_mc,
     pep_exact,
     simulate_ber,
+    stream_rng,
     wilson_interval,
 )
 import noma_ggn
 from noma_ggn import mc
 from noma_ggn.mc import _ber_block, _pep_block
 from noma_ggn.specfun import DomainError
-from oracles import block_range_counts
+from oracles import block_range_counts, pep_block_squared
 
 
 def three_user(gamma_bar, alpha=2.0):
@@ -54,6 +56,14 @@ class TestWilson:
     def test_rejects_no_trials(self):
         with pytest.raises(DomainError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("errors", [5, -1, 1.5, 2.0])
+    def test_rejects_errors_outside_integers_to_trials(self, errors):
+        with pytest.raises(DomainError, match="integer in 0..3"):
+            wilson_interval(errors, 3)
+
+    def test_accepts_numpy_integer_errors(self):
+        assert wilson_interval(np.int64(2), 4) == wilson_interval(2, 4)
 
 
 class TestEstimatePepMc:
@@ -213,10 +223,69 @@ class TestSharedDraws:
 
     def test_no_points_rejected(self):
         model = GGNoiseModel.normalized(2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one point"):
             estimate_pep_mc([], model, 100, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one point"):
             simulate_ber([], model, 100, 1)
+
+
+class _CountedMasks:
+    """numpy as mc sees it, except that count_nonzero keeps a copy of every
+    mask it counts."""
+
+    def __init__(self):
+        self.masks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, a):
+        self.masks.append(a.copy())
+        return np.count_nonzero(a)
+
+
+class TestEventThreshold:
+    """_pep_block decides an event by one comparison of n with
+    -h (zeta + X) / 2 (<= when zeta > X, >= otherwise). That is the squared
+    form (h zeta + n)^2 <= (h X + n)^2 (oracles.pep_block_squared) in exact
+    arithmetic for h > 0. In doubles the two can differ only on a set of
+    draws within rounding of the decision boundary, h = 0 among them; no
+    seed has hit it, and here the two agree trial for trial on 2^20 draws
+    per event."""
+
+    BLOCKS = 16  # 16 * 2^16 = 1,048,576 trials
+
+    @staticmethod
+    def events(alpha):
+        """Per SNR and user, the first enumerated event of each kind:
+        constructive or destructive, zeta > X or zeta < X."""
+        picked = {}
+        for snr_db in (-10.0, 10.0, 30.0, 60.0):
+            cfg = three_user(db(snr_db), alpha)
+            for l in (1, 2, 3):
+                for ev, _ in enumerate_error_events(cfg, l):
+                    picked.setdefault((snr_db, l, ev.mu, ev.zeta > ev.X), ev)
+        return list(picked.values())
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_matches_squared_form_trial_for_trial(self, monkeypatch, alpha):
+        events = self.events(alpha)
+        kinds = {(mu, above) for mu in (0, 1) for above in (False, True)}
+        counted = _CountedMasks()
+        monkeypatch.setattr(mc, "np", counted)
+        model = GGNoiseModel.normalized(alpha)
+        errors = 0
+        for block in range(self.BLOCKS):
+            counted.masks.clear()
+            counts = _pep_block(events, model, stream_rng(31, block), mc.BLOCK_TRIALS)
+            expected = pep_block_squared(events, alpha, stream_rng(31, block), mc.BLOCK_TRIALS)
+            assert np.array_equal(np.array(counted.masks), expected)
+            assert counts.tolist() == np.count_nonzero(expected, axis=1).tolist()
+            errors += counts
+        # each kind has an event that errs on some draws and not on others
+        total = self.BLOCKS * mc.BLOCK_TRIALS
+        mixed = {(ev.mu, ev.zeta > ev.X) for ev, e in zip(events, errors) if 0 < e < total}
+        assert mixed == kinds
 
 
 def _estimate_in_child():
@@ -385,10 +454,12 @@ class TestWorkers:
 
 class TestBitIdentity:
     """Error counts at seed 21, pinned to the values the kernels gave before
-    the compare-swap gain sort, the in-place event tests and the SIC layers
-    on reused arrays: any change of stream, draw order or arithmetic shows
-    here. Each case has five PEP events (canonical events at 5, 15 and 30
-    dB and two destructive events at 15 dB) and three BER configurations."""
+    the compare-swap gain sort, the in-place event tests, the SIC layers on
+    reused arrays, the one-comparison threshold test per PEP event and the
+    BER block's contiguous per-user rows: any change of stream, draw order
+    or arithmetic shows here. Each case has five PEP events (canonical
+    events at 5, 15 and 30 dB and two destructive events at 15 dB) and three
+    BER configurations."""
 
     SPLITS = {"bpsk": ((0.7, 0.2, 0.1), (-1.0, 1.0)), "4pam": ((0.8, 0.2), PAM4)}
     IN_PROCESS = 2 * mc.BLOCK_TRIALS + 4321  # three blocks, a partial last one
