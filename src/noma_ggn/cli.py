@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .ggd import GGNoiseModel
+from .ggd import GGNoiseModel, lambda0
 from .mc import estimate_pep_mc, simulate_ber
 from .noma import BPSK, SystemConfig
 from .pep import (
@@ -96,6 +96,9 @@ class SweepRecord:
 
 CSV_HEADER = "snr_db,user,metric,alpha,value,ci_low,ci_high"
 
+# a start:step:stop grid longer than this is rejected before it is built
+_MAX_SNR_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class RunParams:
@@ -155,7 +158,14 @@ def _parse_snr_spec(spec: str, line, col) -> tuple:
         start, step, stop = values
         if step <= 0 or stop < start:
             raise ConfigError(f"invalid snr_db range {spec!r}", line, col)
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        # +inf for a step so small the quotient overflows; span < max keeps
+        # the point count floor(span) + 1 at or below the cap
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_SNR_POINTS:
+            raise ConfigError(
+                f"snr_db range {spec!r} has more than {_MAX_SNR_POINTS} points", line, col
+            )
+        n = int(math.floor(span)) + 1
         grid = tuple(start + i * step for i in range(n))
     try:
         _db_to_linear(max(grid))
@@ -214,6 +224,10 @@ def _parse_config(text: str, defaults: dict) -> RunParams:
 
     users = parse_num("users", int, lambda v: v >= 1, "a positive integer")
     alpha = parse_num("alpha", float, lambda v: v > 0, "a positive number")
+    try:
+        lambda0(alpha)
+    except DomainError as exc:
+        raise ConfigError(str(exc), *pos("alpha")) from None
     trials = parse_num("trials", int, lambda v: v >= 1, "a positive integer")
     seed = parse_num("seed", int, lambda v: v >= 0, "a nonnegative integer")
     try:

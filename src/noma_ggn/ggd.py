@@ -8,6 +8,7 @@ alpha = 1 is Laplacian; smaller alpha means heavier tails.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +18,24 @@ from .specfun import DomainError
 __all__ = ["GGNoiseModel", "lambda0", "stream_rng"]
 
 
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
+
+
 def lambda0(alpha: float) -> float:
-    """Shape constant Gamma(3/alpha) / Gamma(1/alpha), via log-gamma."""
+    """Shape constant Gamma(3/alpha) / Gamma(1/alpha), via log-gamma.
+
+    Raises DomainError for an alpha that is not positive and finite, or so
+    small (below about 0.0139) that the ratio overflows a double.
+    """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return math.exp(math.lgamma(3.0 / alpha) - math.lgamma(1.0 / alpha))
+    log_ratio = math.lgamma(3.0 / alpha) - math.lgamma(1.0 / alpha)
+    # NaN, not +inf, once 1/alpha itself overflows (inf - inf)
+    if not log_ratio < _LOG_MAX_DOUBLE:
+        raise DomainError(
+            f"alpha={alpha!r} too small: Gamma(3/alpha)/Gamma(1/alpha) overflows a double"
+        )
+    return math.exp(log_ratio)
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:

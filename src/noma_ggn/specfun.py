@@ -47,6 +47,19 @@ def _check_finite(name, x):
         raise DomainError(f"{name} must be finite, got {x!r}")
 
 
+# Both expansions need about sqrt(a) terms when x is near a; the package's
+# shapes a = 1/alpha stay below about 75 (lambda0 overflows beyond), far
+# inside this cap.
+_MAX_ITERATIONS = 10000
+
+
+def _not_converged(method: str, a: float, x: float) -> DomainError:
+    return DomainError(
+        f"incomplete gamma {method} not converged after {_MAX_ITERATIONS} "
+        f"iterations at a={a!r}, x={x!r}"
+    )
+
+
 def _gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by power series (x < a+1)."""
     log_prefix = a * math.log(x) - x - math.lgamma(a + 1.0)
@@ -55,13 +68,15 @@ def _gamma_series(a: float, x: float) -> float:
     term = 1.0
     total = 1.0
     ap = a
-    for _ in range(10000):
+    for _ in range(_MAX_ITERATIONS):
         ap += 1.0
         term *= x / ap
         total += term
         # x > 0 and ap > 0: every term and the total are positive
         if term < total * 1e-17:
             break
+    else:
+        raise _not_converged("series", a, x)
     return total * math.exp(log_prefix)
 
 
@@ -72,11 +87,12 @@ def _gamma_cf(a: float, x: float) -> float:
     if log_prefix < -745.0:
         return 0.0
     tiny = 1e-300
-    b = x + 1.0 - a
+    # x - a first: x + 1 - a can round to 0 once a >= 2**53
+    b = (x - a) + 1.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 10000):
+    for i in range(1, _MAX_ITERATIONS + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -91,6 +107,8 @@ def _gamma_cf(a: float, x: float) -> float:
         # |delta - 1| < 1e-17 holds for the double 1.0 alone
         if delta == 1.0:
             break
+    else:
+        raise _not_converged("continued fraction", a, x)
     return math.exp(log_prefix) * h
 
 
@@ -106,13 +124,20 @@ def _check_gamma_args(a: float, x: float) -> None:
 def lower_incomplete_gamma_reg(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
-    Power series below x = a + 1, Lentz continued fraction above; both
-    branches converge quickly and the split keeps either one well away from
-    its slow regime.
+    Elementary at a = 1/2 (erf(sqrt(x))) and a = 1 (1 - exp(-x)), DLMF 8.4.
+    Otherwise a power series below x = a + 1 and a Lentz continued fraction
+    above; the split keeps either one well away from its slow regime. Raises
+    DomainError if neither converges within _MAX_ITERATIONS terms, which
+    takes a shape far above the package's (a ~ 1e7 at x ~ a).
     """
     _check_gamma_args(a, x)
     if x == 0.0:
         return 0.0
+    if a == 0.5:
+        return math.erf(math.sqrt(x))
+    if a == 1.0:
+        return -math.expm1(-x)
+    # P(2, x) = 1 - exp(-x) (1 + x) cancels at small x: a = 2 keeps the split
     if x < a + 1.0:
         return _gamma_series(a, x)
     return 1.0 - _gamma_cf(a, x)
@@ -121,12 +146,20 @@ def lower_incomplete_gamma_reg(a: float, x: float) -> float:
 def upper_incomplete_gamma_reg(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 
-    Evaluated on the side of the series/continued-fraction split that avoids
-    the 1 - P subtraction when Q is tiny.
+    Elementary at a = 1/2 (erfc(sqrt(x))), a = 1 (exp(-x)) and a = 2
+    (exp(-x) (1 + x)), DLMF 8.4. Otherwise evaluated on the side of the
+    series/continued-fraction split that avoids the 1 - P subtraction when
+    Q is tiny; DomainError as for lower_incomplete_gamma_reg.
     """
     _check_gamma_args(a, x)
     if x == 0.0:
         return 1.0
+    if a == 0.5:
+        return math.erfc(math.sqrt(x))
+    if a == 1.0:
+        return math.exp(-x)
+    if a == 2.0:
+        return math.exp(-x) * (1.0 + x)
     if x < a + 1.0:
         return 1.0 - _gamma_series(a, x)
     return _gamma_cf(a, x)

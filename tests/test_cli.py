@@ -215,6 +215,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error: line 2, column 8:" in err and "finite" in err
 
+    # the point count is checked before the grid is built: 0:1e-320:1 used
+    # to overflow it, 0:1e-9:1000 would build about 1e12 floats
+    @pytest.mark.parametrize("spec", ["0:1e-320:1", "0:1e-9:1000", "-100000:1:0"])
+    def test_oversized_snr_grid_exit_code(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "snr.cfg"
+        cfg.write_text(f"alpha=2\nsnr_db={spec}\n")
+        assert main(["pep", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: line 2, column 8:" in err and "points" in err
+
+    def test_largest_snr_grid_accepted(self):
+        assert len(parse_config("snr_db=-100000:1:-1").snr_db) == 100_000
+
+    # Gamma(3/alpha)/Gamma(1/alpha) overflows a double below alpha ~ 0.0139
+    @pytest.mark.parametrize("alpha", ["0.01", "0.013", "1e-310", "inf"])
+    def test_alpha_without_finite_lambda0_exit_code(self, tmp_path, capsys, alpha):
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text(f"snr_db=10\nalpha={alpha}\n")
+        assert main(["pep", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: line 2, column 7:" in err and "alpha" in err
+
     def test_decay_argument_overflow_is_exact(self, tmp_path, capsys):
         # (kappa w)^alpha overflows a double inside the quadrature here; the
         # gamma factor is exactly 0 there, and the values match mpmath

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -19,6 +20,19 @@ class TestLambda0:
     def test_domain(self, alpha):
         with pytest.raises(DomainError):
             lambda0(alpha)
+
+    # Gamma(3/alpha)/Gamma(1/alpha) passes the largest double below alpha
+    # ~ 0.0139; at 1e-310, 1/alpha itself overflows
+    @pytest.mark.parametrize("alpha", [0.013, 0.01, 1e-300, 1e-310])
+    def test_overflow_is_a_domain_error(self, alpha):
+        with pytest.raises(DomainError, match=f"alpha={alpha!r}"):
+            lambda0(alpha)
+
+    def test_smallest_shapes_stay_finite(self):
+        assert lambda0(0.014) == pytest.approx(
+            float(mpmath.gamma(3 / mpmath.mpf(0.014)) / mpmath.gamma(1 / mpmath.mpf(0.014))),
+            rel=1e-11,
+        )
 
 
 class TestModel:

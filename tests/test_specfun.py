@@ -1,6 +1,7 @@
 """Special functions and semi-infinite quadrature."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -108,6 +109,41 @@ class TestIncompleteGamma:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] == 0.0
         assert lower_incomplete_gamma_reg(0.4, 1e4) == pytest.approx(1.0, rel=1e-14)
+
+    # the elementary shapes a = 1/2, 1, 2 (alpha = 2, 1, 1/2) and P(2, .)'s
+    # series, on both sides of the series/continued-fraction switch at
+    # x = a + 1. rel 1e-13 of the value, or of the smallest normal double
+    # where Q is subnormal (x above about 705); erfc(sqrt(x)) inherits up to
+    # x * 2**-52 relative from the rounding of sqrt(x).
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "x",
+        [1e-300, 1e-100, 1e-8, 0.3, 1.4999, 1.5, 1.5001, 1.9999, 2.0, 2.0001,
+         2.9999, 3.0, 3.0001, 25.0, 483.0, 700.0, 740.0],
+    )
+    def test_elementary_shapes_against_mpmath(self, a, x):
+        with mpmath.workdps(40):
+            p = float(mpmath.gammainc(a, 0, x, regularized=True))
+            q = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+        floor = 1e-13 * sys.float_info.min
+        assert lower_incomplete_gamma_reg(a, x) == pytest.approx(p, rel=1e-13, abs=floor)
+        assert upper_incomplete_gamma_reg(a, x) == pytest.approx(q, rel=1e-13, abs=floor)
+
+    # x near a needs about sqrt(a) terms, past the iteration cap here; the
+    # truncated series used to return 0.341 at (1e8, 1e8) (scipy: 0.50001),
+    # and a = 1e16 divided by zero in the continued fraction
+    @pytest.mark.parametrize(
+        "fn,a,x,method",
+        [
+            (lower_incomplete_gamma_reg, 1e8, 1e8, "series"),
+            (upper_incomplete_gamma_reg, 1e10, 1e10 + 1.0, "continued fraction"),
+            (upper_incomplete_gamma_reg, 1e16, 1e16, "continued fraction"),
+        ],
+    )
+    def test_unconverged_expansion_raises(self, fn, a, x, method):
+        with pytest.raises(DomainError, match=f"{method} not converged") as exc_info:
+            fn(a, x)
+        assert f"a={a!r}, x={x!r}" in str(exc_info.value)
 
     @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)])
     def test_domain(self, a, x):
