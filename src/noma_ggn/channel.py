@@ -38,10 +38,18 @@ def ordered_pdf(L: int, l: int, w: float) -> float:
     delta_{l,i} = L - l + 1 + i; evaluated with math in the equivalent
     product form A_l * w * exp(-(L-l+1) w^2 / 2) * (1 - exp(-w^2 / 2))^(l-1),
     which stays accurate at small w where the alternating sum cancels.
+    The density is 0.0 at w = inf; a negative or nan w raises DomainError.
+    Valid arguments pass one chained comparison and run no other check.
     """
+    if not (1 <= l <= L and 0.0 <= w < math.inf):
+        _check_indices(L, l)
+        if w == math.inf:
+            return 0.0
+        raise DomainError(f"gain must be >= 0, got w={w!r}")
     half_w2 = 0.5 * w * w
     decay = math.exp(-(L - l + 1) * half_w2)
-    return _order_coeff(L, l) * w * decay * (-math.expm1(-half_w2)) ** (l - 1)
+    # A_l as in _order_coeff, without its index check
+    return L * math.comb(L - 1, l - 1) * w * decay * (-math.expm1(-half_w2)) ** (l - 1)
 
 
 def sample_ordered_gains(L: int, rng: np.random.Generator, size: int, out=None):

@@ -28,6 +28,7 @@ from .noma import (
     enumerate_error_events,
 )
 from .specfun import (
+    _TOP_SCALES,
     DomainError,
     QuadratureError,
     integrate_semi_infinite,
@@ -97,35 +98,35 @@ def _kappa(event: ErrorEvent, lam0: float) -> float:
     )
 
 
-def _decay_arg(kappa: float, w: float, alpha: float) -> float:
-    """(kappa w)^alpha, inf where that overflows a double: exp(-z) and the
-    incomplete gammas at z are then exactly 0 or 1 in double precision."""
-    try:
-        return (kappa * w) ** alpha
-    except OverflowError:
-        return math.inf
-
-
 def _conditional(event: ErrorEvent, alpha: float, kappa: float) -> Callable[[float], float]:
     """The event's conditional PEP as a function of the gain w >= 0, for
     noise of shape alpha and the event's decay scale kappa.
 
     Equals [Gamma(1/a) + (-1)^mu * gamma(1/a, (kappa w)^a)] / (2 Gamma(1/a));
     the constructive branch is evaluated through the upper regularized gamma
-    so deep tails keep relative accuracy.
+    so deep tails keep relative accuracy. Where (kappa w)^a overflows a double
+    the incomplete gammas are exactly 0 and 1 there, so the limits are
+    returned.
     """
     inv_a = 1.0 / alpha
+    inf = math.inf
     if event.mu:
 
         def pep_at(w: float) -> float:
-            z = _decay_arg(kappa, w, alpha)
-            return 0.0 if z == math.inf else 0.5 * upper_incomplete_gamma_reg(inv_a, z)
+            try:
+                z = (kappa * w) ** alpha
+            except OverflowError:
+                return 0.0
+            return 0.0 if z == inf else 0.5 * upper_incomplete_gamma_reg(inv_a, z)
 
     else:
 
         def pep_at(w: float) -> float:
-            z = _decay_arg(kappa, w, alpha)
-            return 1.0 if z == math.inf else 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
+            try:
+                z = (kappa * w) ** alpha
+            except OverflowError:
+                return 1.0
+            return 1.0 if z == inf else 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
 
     return pep_at
 
@@ -134,9 +135,48 @@ def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
     """Pairwise error probability conditioned on channel gain h >= 0: the
     function pep_direct integrates, at one gain."""
     _check_noise(event.config, model.alpha, model.sigma2)
-    if h < 0.0:
-        raise DomainError(f"gain must be >= 0, got {h!r}")
+    if not h >= 0.0:
+        raise DomainError(f"gain must be >= 0, got h={h!r}")
     return _conditional(event, model.alpha, _kappa(event, model.lambda0))(h)
+
+
+# exp(-z) is 0.0 in double from z = 745.1332...
+_EXP_UNDERFLOW = 745.2
+
+
+def _underflow_arg(alpha: float) -> float:
+    """A decay argument z beyond which the constructive factors of both
+    quadrature routes, exp(-z) and Q(1/alpha, z), are exactly 0.0 in double.
+
+    745.2 where Q(a, z) <= exp(-z) or is computed as exp(-z) (1 + z), that is
+    a = 1/alpha <= 1 or a = 2. For other a > 1, Gamma(a, z) <= z^(a-1) e^-z
+    z / (z - a + 1) (for z > a - 1) with ln z <= ln Z + (z - Z) / Z, Z = 745.2,
+    puts the bound below e^-Z from Z + d on, d as below.
+    """
+    a = 1.0 / alpha
+    if a <= 1.0 or a == 2.0:
+        return _EXP_UNDERFLOW
+    z = _EXP_UNDERFLOW
+    d = ((a - 1.0) * (math.log(z) + 1.0 / (z - a + 1.0)) - math.lgamma(a)) / (1.0 - (a - 1.0) / z)
+    return z + max(d, 0.0)
+
+
+def _gain_scales(alpha: float, kappa: float, constructive: bool) -> tuple:
+    """The panel scales in the gain w of a PEP integral: the density's and
+    the gamma factor's 1 / kappa.
+
+    The density varies on w ~ 1, and a destructive integrand tends to it. A
+    constructive integrand carries exp(-(kappa w)^alpha) or Q(1/alpha, .) of
+    that and is exactly 0.0 from w_0 = _underflow_arg(alpha)^(1/alpha) / kappa
+    on, so its density scale shrinks to max(w_0 / 64, 1 / kappa) where that
+    is below 1: the engine's top edge, 64 times the larger scale, then lands
+    on w_0 (or on 64 / kappa, the gamma factor's own edge, where that is
+    beyond w_0), and the bottom edge min(scales) / 4 does not move.
+    """
+    if constructive:
+        reach = max(_underflow_arg(alpha) ** (1.0 / alpha) / _TOP_SCALES, 1.0)
+        return (min(1.0, reach / kappa), 1.0 / kappa)
+    return (1.0, 1.0 / kappa)
 
 
 def _pep_quadrature(
@@ -145,18 +185,20 @@ def _pep_quadrature(
     alpha: float,
     kappa: float,
     integrand: Callable[[float], float],
+    constructive: bool,
     scale: float,
     flip: bool,
 ) -> tuple:
     """scale times the integral of integrand over the gain (one minus that
     when flip), with the engine's error scaled alike, as (value, error).
+    constructive says the integrand carries the constructive decay factor
+    (_gain_scales).
 
     A QuadratureError is raised again naming the route and the event's user,
     SNR, alpha, mu and kappa, and carrying the best PEP estimate.
     """
     try:
-        # the gain density varies on w ~ 1, the gamma factor on w ~ 1 / kappa
-        val, err = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa))
+        val, err = integrate_semi_infinite(integrand, _gain_scales(alpha, kappa, constructive))
     except QuadratureError as exc:
         best = scale * exc.best_estimate
         best = 1.0 - best if flip else best
@@ -189,17 +231,23 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
     coeffs = [math.comb(m, j) * (-1.0) ** j / (l + j) for j in range(m + 1)]
 
     def integrand(w: float) -> float:
+        try:
+            z = (kappa * w) ** alpha
+        except OverflowError:
+            return 0.0  # exp(-z) underflowed long before
         big_w = -math.expm1(-0.5 * w * w)
         beta = 0.0
         wp = big_w**l
         for j in range(m + 1):
             beta += coeffs[j] * wp
             wp *= big_w
-        return math.exp(-_decay_arg(kappa, w, alpha)) * beta
+        return math.exp(-z) * beta
 
     a_l = _order_coeff(L, l)
     scale = a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa
-    return _pep_quadrature("quadrature", event, alpha, kappa, integrand, scale, not event.mu)
+    return _pep_quadrature(
+        "quadrature", event, alpha, kappa, integrand, True, scale, not event.mu
+    )
 
 
 def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
@@ -232,7 +280,9 @@ def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     def integrand(w: float) -> float:
         return pep_at(w) * ordered_pdf(L, l, w)
 
-    value, error = _pep_quadrature("direct", event, model.alpha, kappa, integrand, 1.0, False)
+    value, error = _pep_quadrature(
+        "direct", event, model.alpha, kappa, integrand, bool(event.mu), 1.0, False
+    )
     return PepResult(value=value, method="direct", error_estimate=error)
 
 

@@ -113,6 +113,11 @@ def _gamma_cf(a: float, x: float) -> float:
 
 
 def _check_gamma_args(a: float, x: float) -> None:
+    """Raise the DomainError for (a, x) outside 0 < a < inf, 0 <= x < inf.
+
+    The incomplete gammas call it only once their one chained comparison
+    fails, so a valid call (a quadrature node) runs no check of its own.
+    """
     _check_finite("a", a)
     _check_finite("x", x)
     if a <= 0.0:
@@ -130,7 +135,8 @@ def lower_incomplete_gamma_reg(a: float, x: float) -> float:
     DomainError if neither converges within _MAX_ITERATIONS terms, which
     takes a shape far above the package's (a ~ 1e7 at x ~ a).
     """
-    _check_gamma_args(a, x)
+    if not (0.0 < a < math.inf and 0.0 <= x < math.inf):
+        _check_gamma_args(a, x)
     if x == 0.0:
         return 0.0
     if a == 0.5:
@@ -151,7 +157,8 @@ def upper_incomplete_gamma_reg(a: float, x: float) -> float:
     series/continued-fraction split that avoids the 1 - P subtraction when
     Q is tiny; DomainError as for lower_incomplete_gamma_reg.
     """
-    _check_gamma_args(a, x)
+    if not (0.0 < a < math.inf and 0.0 <= x < math.inf):
+        _check_gamma_args(a, x)
     if x == 0.0:
         return 1.0
     if a == 0.5:
@@ -194,22 +201,41 @@ _GAUSS_WEIGHTS = (
 )
 
 
+# (node, Kronrod weight, Gauss weight) of each symmetric pair, outermost
+# first; the Gauss rule has no node at the even positions, weight 0.0 there
+_GK15_PAIRS = tuple(
+    zip(
+        _KRONROD_NODES[:7],
+        _KRONROD_WEIGHTS[:7],
+        (0.0, _GAUSS_WEIGHTS[0], 0.0, _GAUSS_WEIGHTS[1], 0.0, _GAUSS_WEIGHTS[2], 0.0),
+    )
+)
+
+
 def _gk15(g: Callable[[float], float], lo: float, hi: float):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     fk = 0.0
     fg = 0.0
-    for j, xk in enumerate(_KRONROD_NODES):
-        if xk == 0.0:
-            fv = g(mid)
-            fk += _KRONROD_WEIGHTS[j] * fv
-            fg += _GAUSS_WEIGHTS[3] * fv
-            continue
+    for xk, wk, wg in _GK15_PAIRS:
         fv = g(mid - half * xk) + g(mid + half * xk)
-        fk += _KRONROD_WEIGHTS[j] * fv
-        if j % 2 == 1:
-            fg += _GAUSS_WEIGHTS[(j - 1) // 2] * fv
+        fk += wk * fv
+        fg += wg * fv
+    fv = g(mid)
+    fk += _KRONROD_WEIGHTS[7] * fv
+    fg += _GAUSS_WEIGHTS[3] * fv
     return fk * half, abs(fk - fg) * half
+
+
+def _raise_at_non_finite_node(g: Callable[[float], float], lo: float, hi: float) -> None:
+    """Raise DomainError naming the first node of _gk15's panel [lo, hi], in
+    _gk15's order, at which the mapped integrand g is not finite. Returns if
+    every node is finite (their weighted sum overflowed)."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    for t in [t for xk, _, _ in _GK15_PAIRS for t in (mid - half * xk, mid + half * xk)] + [mid]:
+        if not math.isfinite(g(t)):
+            raise DomainError(f"integrand not finite at x={t / (1.0 - t)!r}")
 
 
 # Convergence is driven by relative error: PEP values span hundreds of orders
@@ -259,18 +285,22 @@ def integrate_semi_infinite(f: Callable[[float], float], scales) -> QuadratureRe
 
     def g(t: float) -> float:
         u = 1.0 - t
-        x = t / u
-        v = f(x) / (u * u)
-        if not math.isfinite(v):
-            raise DomainError(f"integrand not finite at x={x!r}")
-        return v
+        return f(t / u) / (u * u)
+
+    def panel(lo: float, hi: float):
+        # the Kronrod weights are positive, so a node that is not finite
+        # leaves the panel's sum inf or nan: one test per panel, not per node
+        val, err = _gk15(g, lo, hi)
+        if not math.isfinite(val):
+            _raise_at_non_finite_node(g, lo, hi)
+        return val, err
 
     # panels are disjoint, so (neg_error, lo) orders the heap without ties
     heap = []
     total = 0.0
     total_err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(g, lo, hi)
+        val, err = panel(lo, hi)
         heapq.heappush(heap, (-err, lo, hi, val, err))
         total += val
         total_err += err
@@ -286,8 +316,8 @@ def integrate_semi_infinite(f: Callable[[float], float], scales) -> QuadratureRe
             )
         _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(g, lo, mid)
-        v2, e2 = _gk15(g, mid, hi)
+        v1, e1 = panel(lo, mid)
+        v2, e2 = panel(mid, hi)
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))

@@ -44,6 +44,19 @@ class TestOrderTerms:
         with pytest.raises(DomainError):
             ordered_pdf(L, l, 1.0)
 
+    @pytest.mark.parametrize("w", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_gain_outside_domain_named(self, w):
+        with pytest.raises(DomainError, match=f"got w={w!r}"):
+            ordered_pdf(3, 1, w)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_infinite_gain_has_zero_density(self, l):
+        assert ordered_pdf(3, l, math.inf) == 0.0
+
+    def test_indices_checked_before_gain(self):
+        with pytest.raises(DomainError, match="user index"):
+            ordered_pdf(3, 4, -1.0)
+
 
 class TestOrderedPdf:
     def test_single_user_is_rayleigh(self):

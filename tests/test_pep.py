@@ -30,8 +30,14 @@ from noma_ggn import (
     union_bound,
 )
 from noma_ggn.channel import ordered_pdf
-from noma_ggn.pep import _kappa, _laplace_tail
-from noma_ggn.specfun import DomainError, QuadratureError, integrate_semi_infinite
+from noma_ggn.pep import _gain_scales, _kappa, _laplace_tail, _underflow_arg
+from noma_ggn.specfun import (
+    DomainError,
+    QuadratureError,
+    QuadratureResult,
+    integrate_semi_infinite,
+    upper_incomplete_gamma_reg,
+)
 from oracles import DecisionNoise, pep_mp, t1_t2_sum
 
 
@@ -118,6 +124,17 @@ class TestConditionalPep:
         _, ev = single_user_event(10.0)
         with pytest.raises(DomainError, match="gain must be >= 0"):
             conditional_pep(ev, GGNoiseModel.normalized(2.0), -1e-300)
+
+    def test_nan_gain_rejected_naming_h(self):
+        _, ev = single_user_event(10.0)
+        with pytest.raises(DomainError, match="gain must be >= 0, got h=nan"):
+            conditional_pep(ev, GGNoiseModel.normalized(2.0), math.nan)
+
+    def test_infinite_gain_is_the_limit(self):
+        cfg = three_user(10.0)
+        model = GGNoiseModel.normalized(2.0)
+        values = {ev.mu: conditional_pep(ev, model, math.inf) for ev, _ in enumerate_error_events(cfg, 3)}
+        assert values == {1: 0.0, 0: 1.0}
 
     def test_decay_argument_overflow_is_exact(self):
         # (kappa h)^alpha overflows a double: the tail is exactly 0 and the
@@ -242,11 +259,102 @@ class TestPepDirect:
                 for ev in canonical_and_destructive(cfg, l):
                     reference, _ = integrate_semi_infinite(
                         lambda w: conditional_pep(ev, model, w) * ordered_pdf(3, l, w),
-                        (1.0, 1.0 / _kappa(ev, model.lambda0)),
+                        _gain_scales(alpha, _kappa(ev, model.lambda0), ev.mu),
                     )
                     assert pep_direct(ev, model).value == pytest.approx(
                         reference, rel=1e-14, abs=0.0
                     )
+
+
+# pep_exact and pep_direct of canonical events at SNRs where kappa stays at
+# or below the trim threshold, as computed before the constructive panels
+# were trimmed: (alpha, SNR dB, user) -> (exact, direct)
+UNTRIMMED_PINS = {
+    (0.5, 20.0, 1): (0.001416457794334405, 0.0014164577943343941),
+    (0.5, 20.0, 2): (0.0003925182960124275, 0.00039251829601242747),
+    (0.5, 20.0, 3): (0.001104085856010604, 0.0011040858560106043),
+    (1.0, 0.0, 1): (0.08739258876026722, 0.0873925887602672),
+    (1.0, 0.0, 2): (0.09698862617477058, 0.09698862617477057),
+    (1.0, 0.0, 3): (0.16799705051304537, 0.16799705051304548),
+    (2.0, -10.0, 1): (0.30908008235287326, 0.3090800823528734),
+    (2.0, -10.0, 2): (0.34137943022166867, 0.3413794302216686),
+    (2.0, -10.0, 3): (0.39852414298873756, 0.39852414298873773),
+    (4.0, -10.0, 1): (0.3355117784769236, 0.3355117784769236),
+    (4.0, -10.0, 2): (0.3676050963104399, 0.36760509631043975),
+    (4.0, -10.0, 3): (0.41725495513245436, 0.41725495513245436),
+}
+
+
+def trim_threshold(alpha):
+    """The kappa up to which _gain_scales keeps the untrimmed (1, 1/kappa)."""
+    return max(_underflow_arg(alpha) ** (1.0 / alpha) / 64.0, 1.0)
+
+
+class TestConstructiveTrim:
+    KAPPAS = np.geomspace(1e-3, 1e7, 51).tolist()
+
+    @staticmethod
+    def captured(monkeypatch, ev, model, kappa):
+        """(integrand, scales) that pep_exact, then pep_direct, hand the
+        engine for ev at decay scale kappa."""
+        seen = []
+
+        def capture(f, scales):
+            seen.append((f, scales))
+            return QuadratureResult(0.5, 0.0)
+
+        monkeypatch.setattr(noma_ggn.pep, "_kappa", lambda event, lam0: kappa)
+        monkeypatch.setattr(noma_ggn.pep, "integrate_semi_infinite", capture)
+        pep_exact(ev, model)
+        pep_direct(ev, model)
+        return seen
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
+    def test_constructive_integrands_vanish_from_the_top_edge(self, monkeypatch, alpha):
+        # the trimmed top edge drops no mass: wherever it sits below the
+        # untrimmed 64 max(1, 1/kappa), both routes' constructive integrands
+        # are exactly 0.0 on it and beyond
+        model = GGNoiseModel.normalized(alpha)
+        moved = 0
+        for l in (1, 2, 3):
+            ev = canonical_event(three_user(db(20.0), alpha), l)
+            assert ev.mu == 1
+            for kappa in self.KAPPAS:
+                for f, scales in self.captured(monkeypatch, ev, model, kappa):
+                    top = 64.0 * max(scales)
+                    if top == 64.0 * max(1.0, 1.0 / kappa):
+                        assert kappa <= trim_threshold(alpha)
+                        continue
+                    moved += 1
+                    for w in (top, top * (1.0 + 1e-12), 1.5 * top, 10.0 * top, 1e6 * top):
+                        assert f(w) == 0.0, (l, kappa, w)
+        assert moved > 0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
+    def test_scales_untrimmed_up_to_threshold(self, alpha):
+        for kappa in self.KAPPAS:
+            untrimmed = (1.0, 1.0 / kappa)
+            assert _gain_scales(alpha, kappa, False) == untrimmed
+            trimmed = _gain_scales(alpha, kappa, True)
+            if kappa <= trim_threshold(alpha):
+                assert trimmed == untrimmed
+            else:
+                # only the top edge moves: the bottom one is min(scales) / 4
+                assert trimmed[0] < 1.0 and min(trimmed) == min(untrimmed)
+
+    def test_bit_identical_where_the_edge_stays(self):
+        for (alpha, snr_db, l), pinned in UNTRIMMED_PINS.items():
+            model = GGNoiseModel.normalized(alpha)
+            ev = canonical_event(three_user(db(snr_db), alpha), l)
+            assert _kappa(ev, model.lambda0) <= trim_threshold(alpha)
+            assert (pep_exact(ev, model).value, pep_direct(ev, model).value) == pinned
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.1, 0.3, 0.6, 0.75, 0.9, 1.5, 3.0, 20.0])
+    def test_underflow_arg_bounds_the_zero_of_q(self, alpha):
+        z = _underflow_arg(alpha)
+        for t in (z, z * (1.0 + 1e-9), z + 1.0, 2.0 * z):
+            assert math.exp(-t) == 0.0
+            assert upper_incomplete_gamma_reg(1.0 / alpha, t) == 0.0
 
 
 class TestQuadratureDiagnostics:

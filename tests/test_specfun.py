@@ -9,6 +9,7 @@ import pytest
 import scipy.integrate as si
 import scipy.special as sps
 
+from noma_ggn import specfun
 from noma_ggn.ggd import lambda0
 from noma_ggn.specfun import (
     DomainError,
@@ -150,6 +151,28 @@ class TestIncompleteGamma:
         with pytest.raises(DomainError):
             lower_incomplete_gamma_reg(a, x)
 
+    @pytest.mark.parametrize("fn", [lower_incomplete_gamma_reg, upper_incomplete_gamma_reg])
+    @pytest.mark.parametrize(
+        "a,x,message",
+        [
+            (math.nan, 1.0, "a must be finite, got nan"),
+            (math.inf, -1.0, "a must be finite, got inf"),
+            (0.5, math.nan, "x must be finite, got nan"),
+            (1.0, math.inf, "x must be finite, got inf"),
+            (-0.0, 1.0, "shape parameter must be positive, got -0.0"),
+            (2.0, -1e-300, "argument must be nonnegative, got -1e-300"),
+        ],
+    )
+    def test_domain_messages(self, fn, a, x, message):
+        # valid arguments skip the checks; invalid ones get them all, in order
+        with pytest.raises(DomainError) as exc_info:
+            fn(a, x)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("fn", [lower_incomplete_gamma_reg, upper_incomplete_gamma_reg])
+    def test_negative_zero_argument_is_zero(self, fn):
+        assert fn(0.25, -0.0) == fn(0.25, 0.0)
+
 
 class TestErfc:
     # the package takes erfc from math.erfc
@@ -201,6 +224,43 @@ class TestQuadrature:
     def test_deterministic(self):
         f = lambda x: math.exp(-x) / (1.0 + x * x)  # noqa: E731
         assert integrate_semi_infinite(f, (1.0,)) == integrate_semi_infinite(f, (1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_node_is_named(self, bad):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return bad if x > 2.0 else math.exp(-x)
+
+        with pytest.raises(DomainError, match="integrand not finite at x=") as exc_info:
+            integrate_semi_infinite(f, (1.0,))
+        named = float(str(exc_info.value).rsplit("=", 1)[1])
+        # the first node past 2 that the rule evaluated
+        assert named == next(x for x in calls if x > 2.0)
+
+    def test_gk15_matches_the_indexed_rule(self):
+        # the rule walks (node, Kronrod weight, Gauss weight) triples in the
+        # order of the indexed loop it replaced, so every sum is bit-identical
+        def indexed(g, lo, hi):
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            fk = fg = 0.0
+            for j, xk in enumerate(specfun._KRONROD_NODES):
+                if xk == 0.0:
+                    fv = g(mid)
+                    fk += specfun._KRONROD_WEIGHTS[j] * fv
+                    fg += specfun._GAUSS_WEIGHTS[3] * fv
+                    continue
+                fv = g(mid - half * xk) + g(mid + half * xk)
+                fk += specfun._KRONROD_WEIGHTS[j] * fv
+                if j % 2 == 1:
+                    fg += specfun._GAUSS_WEIGHTS[(j - 1) // 2] * fv
+            return fk * half, abs(fk - fg) * half
+
+        rng = np.random.default_rng(19)
+        for g in (math.exp, math.sin, lambda t: t**7 - 3.0 * t, lambda t: 1.0 / (1.0 + t * t)):
+            for lo, width in rng.uniform(-3.0, 3.0, size=(50, 2)).tolist():
+                assert specfun._gk15(g, lo, lo + width) == indexed(g, lo, lo + width)
 
     def test_nonconvergence_reports_best_estimate(self):
         # oscillation far too fast for the subdivision budget

@@ -16,14 +16,23 @@ Writes ``BENCH_<pr>.json`` at the root of this checkout: for every
 end-to-end metric each side's runs, median and quartiles, and the number of
 pairs in which the change was better, worse or tied; the seeds, which side
 ran first in each pair, every run's correctness and operation counts, the
-host, its CPU count and the Python and numpy versions. A run that exits
-non-zero or prints no result stops the tool.
+host, its CPU count and the Python and numpy versions. After the pairs it
+runs each side once more with ``--trace 1`` at the first pair's seed and
+writes both sides' per-layer metrics (``raw.*`` included) under ``traced``.
+
+The tool stops on any run the benchmark would refuse: one that exits
+non-zero, prints no result, or whose last line is not strict JSON (no
+``NaN`` or ``Infinity``) with a finite number for every metric value (a
+traced name that no longer resolves reads ``null``); one that reports
+``correct: false``; and a pair whose sides attempted or failed a different
+number of operations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -41,15 +50,55 @@ def log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in checkout: the JSON its run.py prints last."""
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def parse_result(stdout: str) -> dict:
+    """The result run.py prints as its last line, parsed strictly: ValueError
+    unless it is one JSON object with a boolean correct, integer attempted
+    and failed, and metrics that map each name to a finite number value."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("no output")
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
+    if not isinstance(result, dict) or not isinstance(result.get("correct"), bool):
+        raise ValueError(f"last line is not a result: {lines[-1][:200]!r}")
+    for key in ("attempted", "failed"):
+        if type(result.get(key)) is not int:
+            raise ValueError(f"{key} is not an integer: {result.get(key)!r}")
+    metrics = result.get("metrics")
+    if not isinstance(metrics, dict) or not metrics:
+        raise ValueError("no metrics")
+    for name, entry in metrics.items():
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"metric {name} is not a finite number: {value!r}")
+    return result
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in checkout: its strictly parsed, correct result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}")
-    return json.loads(lines[-1])
+    where = f"{' '.join(cmd)} in {checkout}"
+    if proc.returncode != 0:
+        raise SystemExit(f"{where} exited {proc.returncode}")
+    try:
+        result = parse_result(proc.stdout)
+    except ValueError as exc:
+        raise SystemExit(f"{where}: {exc}")
+    if not result["correct"]:
+        raise SystemExit(f"{where}: correct is false")
+    return result
+
+
+def check_counts(parent: dict, change: dict) -> None:
+    """ValueError if the two sides attempted or failed different counts."""
+    for key in ("attempted", "failed"):
+        if parent[key] != change[key]:
+            raise ValueError(f"{key} differs: parent {parent[key]}, change {change[key]}")
 
 
 def revision(checkout: Path) -> dict:
@@ -86,6 +135,16 @@ def summary(runs: dict, declared: list) -> dict:
     return metrics
 
 
+def side_by_side(results: dict) -> dict:
+    """Per metric of either side's result: its unit and each side's value
+    (None on the side that lacks it)."""
+    table = {}
+    for side in SIDES:
+        for name, entry in results[side]["metrics"].items():
+            table.setdefault(name, {"unit": entry["unit"], **dict.fromkeys(SIDES)})[side] = entry["value"]
+    return table
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source checkout of the parent commit")
@@ -112,6 +171,16 @@ def main() -> int:
             runs[side].append(result)
             log(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                 + ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()))
+        try:
+            check_counts(runs["parent"][-1], runs["change"][-1])
+        except ValueError as exc:
+            raise SystemExit(f"pair {i + 1} seed {seed}: {exc}")
+    traced = {side: run_once(checkouts[side], args.workload, seeds[0], bench["run_seconds"], 1)
+              for side in SIDES}
+    try:
+        check_counts(traced["parent"], traced["change"])
+    except ValueError as exc:
+        raise SystemExit(f"traced runs seed {seeds[0]}: {exc}")
     out = {
         "workload": args.workload,
         "seconds": bench["run_seconds"],
@@ -121,6 +190,7 @@ def main() -> int:
         "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in runs[side]]
                  for side in SIDES},
         "metrics": summary(runs, bench["end_to_end"]),
+        "traced": {"seed": seeds[0], "metrics": side_by_side(traced)},
         "host": platform.node(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
