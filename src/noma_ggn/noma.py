@@ -55,6 +55,8 @@ class SystemConfig:
         object.__setattr__(self, "a", a)
         if len(a) < 1:
             raise DomainError("power allocation must have at least one user")
+        if not all(map(math.isfinite, a)):
+            raise DomainError(f"power coefficients must be finite, got {a}")
         if any(v <= 0.0 for v in a):
             raise DomainError(f"power coefficients must be positive, got {a}")
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
@@ -68,12 +70,16 @@ class SystemConfig:
             raise DomainError(f"gamma_bar must be >= 0, got {self.gamma_bar!r}")
         phi = tuple(sorted(float(s) for s in self.constellation))
         object.__setattr__(self, "constellation", phi)
+        if not all(map(math.isfinite, phi)):
+            raise DomainError(f"constellation symbols must be finite, got {phi}")
         if len(set(phi)) != len(phi) or len(phi) < 2:
             raise DomainError("constellation symbols must be distinct (>= 2)")
         if abs(sum(phi)) > 1e-12 * max(abs(s) for s in phi):
             raise DomainError("constellation must be zero-mean")
-        if not (self.noise_alpha > 0.0):
-            raise DomainError(f"noise_alpha must be positive, got {self.noise_alpha!r}")
+        if not (0.0 < self.noise_alpha < math.inf):
+            raise DomainError(
+                f"noise_alpha must be positive and finite, got {self.noise_alpha!r}"
+            )
 
     @property
     def L(self) -> int:
@@ -211,10 +217,6 @@ class ErrorEvent:
     upsilon: float
     mu: int
     delta_check: float
-
-    @property
-    def a_l(self) -> float:
-        return self.config.a[self.l - 1]
 
     @property
     def gamma_bar(self) -> float:

@@ -28,7 +28,6 @@ from .noma import (
     enumerate_error_events,
 )
 from .specfun import (
-    _TOP_SCALES,
     DomainError,
     QuadratureError,
     integrate_semi_infinite,
@@ -161,24 +160,6 @@ def _underflow_arg(alpha: float) -> float:
     return z + max(d, 0.0)
 
 
-def _gain_scales(alpha: float, kappa: float, constructive: bool) -> tuple:
-    """The panel scales in the gain w of a PEP integral: the density's and
-    the gamma factor's 1 / kappa.
-
-    The density varies on w ~ 1, and a destructive integrand tends to it. A
-    constructive integrand carries exp(-(kappa w)^alpha) or Q(1/alpha, .) of
-    that and is exactly 0.0 from w_0 = _underflow_arg(alpha)^(1/alpha) / kappa
-    on, so its density scale shrinks to max(w_0 / 64, 1 / kappa) where that
-    is below 1: the engine's top edge, 64 times the larger scale, then lands
-    on w_0 (or on 64 / kappa, the gamma factor's own edge, where that is
-    beyond w_0), and the bottom edge min(scales) / 4 does not move.
-    """
-    if constructive:
-        reach = max(_underflow_arg(alpha) ** (1.0 / alpha) / _TOP_SCALES, 1.0)
-        return (min(1.0, reach / kappa), 1.0 / kappa)
-    return (1.0, 1.0 / kappa)
-
-
 def _pep_quadrature(
     route: str,
     event: ErrorEvent,
@@ -191,14 +172,18 @@ def _pep_quadrature(
 ) -> tuple:
     """scale times the integral of integrand over the gain (one minus that
     when flip), with the engine's error scaled alike, as (value, error).
-    constructive says the integrand carries the constructive decay factor
-    (_gain_scales).
+
+    The integrand varies on the density's scale 1 and the gamma factor's
+    1 / kappa. constructive says it carries exp(-(kappa w)^alpha) or
+    Q(1/alpha, .) of that, and so is exactly 0.0 from
+    w_0 = _underflow_arg(alpha)^(1/alpha) / kappa on: the integral ends there.
 
     A QuadratureError is raised again naming the route and the event's user,
     SNR, alpha, mu and kappa, and carrying the best PEP estimate.
     """
+    end = _underflow_arg(alpha) ** (1.0 / alpha) / kappa if constructive else math.inf
     try:
-        val, err = integrate_semi_infinite(integrand, _gain_scales(alpha, kappa, constructive))
+        val, err = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa), end=end)
     except QuadratureError as exc:
         best = scale * exc.best_estimate
         best = 1.0 - best if flip else best

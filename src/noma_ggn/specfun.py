@@ -251,37 +251,48 @@ _EDGE_RATIO = 4.0
 _TOP_SCALES = 64.0
 
 
-def _initial_edges(scales) -> list:
-    """Initial panel edges on the mapped (0, 1) domain, 0 and 1 included."""
+def _initial_edges(scales, end) -> list:
+    """Initial panel edges on the mapped (0, 1) domain, 0 included; 1 (the
+    tail panel's end) only when the ladder stops short of end."""
     scales = tuple(scales)
     if not scales:
         raise DomainError("at least one scale is required")
     for s in scales:
         if not (math.isfinite(s) and s > 0.0):
             raise DomainError(f"scales must be positive and finite, got {s!r}")
+    if not end > 0.0:
+        raise DomainError(f"end must be positive, got {end!r}")
     lo = min(scales) / 4.0
-    log_ratio = math.log(_TOP_SCALES * max(scales)) - math.log(lo)
+    if end <= lo:
+        return [0.0, end / (1.0 + end)]
+    top = _TOP_SCALES * max(scales)
+    log_ratio = math.log(min(top, end)) - math.log(lo)
     n = math.ceil(log_ratio / math.log(_EDGE_RATIO))
     xs = [lo * math.exp(log_ratio * k / n) for k in range(n + 1)]
-    return [0.0] + [x / (1.0 + x) for x in xs] + [1.0]
+    return [0.0] + [x / (1.0 + x) for x in xs] + ([1.0] if top < end else [])
 
 
-def integrate_semi_infinite(f: Callable[[float], float], scales) -> QuadratureResult:
-    """Adaptive integral of f over [0, inf) for eventually-decaying f.
+def integrate_semi_infinite(
+    f: Callable[[float], float], scales, *, end: float = math.inf
+) -> QuadratureResult:
+    """Adaptive integral of f over [0, inf) for eventually-decaying f that
+    is exactly 0.0 from end on.
 
     scales are the positive lengths in x on which f changes, e.g. 1/c for
     exp(-c x); the caller names them all. The initial panels are geometric
-    in x with ratio at most 4 from min(scales) / 4 to 64 max(scales), then
-    one tail panel to infinity. The top edge sits at 64 scales because mass
+    in x with ratio at most 4 from min(scales) / 4 to min(64 max(scales),
+    end), then, only where the ladder stops short of end, one tail panel to
+    infinity; one panel [0, end] where end <= min(scales) / 4. The top edge
+    sits at 64 scales because mass
     beyond it goes unseen by the tail panel's nodes: with an edge at 8 / c,
     e^-8 of c exp(-c x) would be missed. The domain is mapped to (0, 1) via
     x = t / (1 - t) and each panel integrated with an adaptively bisected
     Gauss-Kronrod 7-15 rule. Deterministic. Raises DomainError for no scales
-    or a non-positive or non-finite one, and QuadratureError (carrying the
-    best estimate) if the error target is still unmet after
-    _MAX_SUBDIVISIONS bisections.
+    or a non-positive or non-finite one, or an end that is not positive,
+    and QuadratureError (carrying the best estimate) if the error target is
+    still unmet after _MAX_SUBDIVISIONS bisections.
     """
-    edges = _initial_edges(scales)
+    edges = _initial_edges(scales, end)
 
     def g(t: float) -> float:
         u = 1.0 - t

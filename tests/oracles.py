@@ -101,7 +101,8 @@ def pep_mp(event: ErrorEvent) -> float:
     with mp.workdps(MP_DPS):
         alpha = mp.mpf(event.config.noise_alpha)
         lam = mp.sqrt(2 * mp.gamma(3 / alpha) / mp.gamma(1 / alpha))
-        d = mp.sqrt(mp.mpf(event.a_l) * mp.mpf(event.gamma_bar)) * abs(mp.mpf(event.delta_check))
+        a_l = mp.mpf(event.config.a[l - 1])
+        d = mp.sqrt(a_l * mp.mpf(event.gamma_bar)) * abs(mp.mpf(event.delta_check))
         kappa = lam * abs(mp.mpf(event.upsilon)) / (2 * d)
         low_snr = kappa < 1
         js = range(l) if low_snr else range(l, L + 1)

@@ -1,10 +1,13 @@
-"""The benchmark's tracer targets and the pair tool's strict result parser.
+"""The benchmark's tracer, a traced pass of each workload, and the pair
+tool's strict result parser and source digest.
 
-Both modules are loaded from their files: neither ``perfbench/`` nor
+The modules are loaded from their files: neither ``perfbench/`` nor
 ``tools/`` is a package, and nothing under ``perfbench/`` is written.
 """
 
 import json
+import math
+import sys
 import types
 from pathlib import Path
 
@@ -32,6 +35,39 @@ def test_every_traced_name_resolves():
     for path, _ in tracing.TARGETS:
         owner, attr = tracing._resolve(path)
         assert callable(getattr(owner, attr)), path
+
+
+class Calls:
+    """The worker's call recorder, without its speed probe."""
+
+    def record(self, seconds):
+        pass
+
+
+@pytest.mark.parametrize("workload", ["pep_curves", "union_bound", "cli_sweeps"])
+def test_traced_pass_reports_every_per_layer_value(monkeypatch, tmp_path, workload):
+    # what the benchmark's traced run does on its traced pass: a wrapper that
+    # breaks the program, or a per-layer value that is null or not finite,
+    # would make that run's last line no result
+    inputs = load("perfbench/inputs.py")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)  # workloads imports it by name
+    workloads = load("perfbench/workloads.py")
+    tracing = load("perfbench/tracing.py")
+    run, keys = workloads.RUNS[workload]
+    out = {key: [] for key in keys}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run(inputs.PLANS[workload](1, 0), Calls(), out, str(tmp_path))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == set()
+    assert all(out.values())
+    metrics = tracer.metrics()
+    assert set(metrics) == set(tracing.METRICS)
+    for name, entry in metrics.items():
+        value = entry["value"]
+        assert type(value) in (int, float) and math.isfinite(value), (name, value)
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +149,38 @@ def test_side_by_side_keeps_either_sides_metrics(bench_pairs):
         "a": {"unit": "ms", "parent": 1.0, "change": 0.5},
         "b": {"unit": "count", "parent": None, "change": 3},
     }
+
+
+class TestSourceDigest:
+    @staticmethod
+    def tree(root, source="x = 1\n"):
+        for rel, text in (
+            ("src/pkg/mod.py", source),
+            ("src/pkg/__init__.py", ""),
+            ("perfbench/run.py", "print(1)\n"),
+        ):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text, encoding="utf-8")
+        return root
+
+    def test_identical_trees_agree(self, bench_pairs, tmp_path):
+        one, two = self.tree(tmp_path / "one"), self.tree(tmp_path / "two")
+        assert bench_pairs.source_digest(one) == bench_pairs.source_digest(two)
+
+    def test_one_changed_byte_differs(self, bench_pairs, tmp_path):
+        one, two = self.tree(tmp_path / "one"), self.tree(tmp_path / "two", "x = 2\n")
+        assert bench_pairs.source_digest(one) != bench_pairs.source_digest(two)
+
+    def test_bytecode_and_outputs_ignored(self, bench_pairs, tmp_path):
+        root = self.tree(tmp_path / "one")
+        before = bench_pairs.source_digest(root)
+        for rel in ("src/pkg/__pycache__/mod.cpython-311.pyc", "perfbench/out/run.json"):
+            (root / rel).parent.mkdir(parents=True)
+            (root / rel).write_bytes(b"\x00 anything")
+        assert bench_pairs.source_digest(root) == before
+
+    def test_revision_outside_git_keeps_the_digest(self, bench_pairs, tmp_path):
+        root = self.tree(tmp_path / "one")
+        assert bench_pairs.revision(root) == {
+            "commit": None, "modified": None, "source_sha256": bench_pairs.source_digest(root)
+        }

@@ -204,6 +204,18 @@ class TestMain:
         assert main(["pep", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    # a NaN coefficient used to pass every power check: ber printed BERs of
+    # about 0.5 and print-config echoed power=nan, both exiting 0
+    @pytest.mark.parametrize("command", ["ber", "print-config"])
+    def test_non_finite_power_exit_code(self, tmp_path, capsys, command):
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text("power=0.7,nan,0.1\nsnr_db=10\ntrials=20000\nmetrics=ber_sim\n")
+        assert main([command, str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: line 1, column 7:" in captured.err
+        assert "power coefficients must be finite, got (0.7, nan, 0.1)" in captured.err
+
     # 4000 dB is finite but 10^(4000/10) is not
     @pytest.mark.parametrize(
         "spec", ["nan", "inf", "-inf", "0:nan:10", "nan:5:40", "4000", "0:1000:4000"]
@@ -238,8 +250,10 @@ class TestMain:
         assert "configuration error: line 2, column 7:" in err and "alpha" in err
 
     def test_decay_argument_overflow_is_exact(self, tmp_path, capsys):
-        # (kappa w)^alpha overflows a double inside the quadrature here; the
-        # gamma factor is exactly 0 there, and the values match mpmath
+        # kappa ~ 1e12 here, and (kappa w)^alpha overflows a double from
+        # kappa w ~ 2.6e15; a constructive integral ends where its gamma
+        # factor underflows to 0 (kappa w ~ 1.39), so no node gets near that,
+        # and the values match mpmath
         cfg = tmp_path / "steep.cfg"
         cfg.write_text("alpha=20\nsnr_db=250\nmetrics=pep_analytic\n")
         assert main(["pep", str(cfg)]) == 0

@@ -57,6 +57,38 @@ class TestSystemConfig:
         cfg = SystemConfig(a=(1.0,), gamma_bar=1.0, constellation=(3.0, -3.0))
         assert cfg.constellation == (-3.0, 3.0)  # stored ascending
 
+    # NaN passes the positivity, ordering and sum tests, and +-inf or NaN
+    # symbols the zero-mean test: each is named instead
+    @pytest.mark.parametrize(
+        "a,message",
+        [
+            ((0.7, math.nan, 0.1), "power coefficients must be finite, got (0.7, nan, 0.1)"),
+            ((math.inf, 0.2, 0.1), "power coefficients must be finite, got (inf, 0.2, 0.1)"),
+        ],
+    )
+    def test_non_finite_power_rejected(self, a, message):
+        with pytest.raises(DomainError) as exc_info:
+            SystemConfig(a=a, gamma_bar=1.0)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        "phi,message",
+        [
+            ((-math.inf, math.inf), "constellation symbols must be finite, got (-inf, inf)"),
+            ((math.nan, 1.0), "constellation symbols must be finite, got (nan, 1.0)"),
+        ],
+    )
+    def test_non_finite_symbols_rejected(self, phi, message):
+        with pytest.raises(DomainError) as exc_info:
+            SystemConfig(a=(1.0,), gamma_bar=1.0, constellation=phi)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -2.0])
+    def test_noise_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(DomainError) as exc_info:
+            SystemConfig(a=(1.0,), gamma_bar=1.0, noise_alpha=alpha)
+        assert str(exc_info.value) == f"noise_alpha must be positive and finite, got {alpha!r}"
+
 
 def composite(cfg, symbols):
     return sum(cfg.amplitude(k) * x for k, x in enumerate(symbols, start=1))

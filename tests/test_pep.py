@@ -30,7 +30,7 @@ from noma_ggn import (
     union_bound,
 )
 from noma_ggn.channel import ordered_pdf
-from noma_ggn.pep import _gain_scales, _kappa, _laplace_tail, _underflow_arg
+from noma_ggn.pep import _kappa, _laplace_tail, _underflow_arg
 from noma_ggn.specfun import (
     DomainError,
     QuadratureError,
@@ -247,28 +247,49 @@ def canonical_and_destructive(cfg, l):
     return [canonical_event(cfg, l)] + destructive[:1]
 
 
+def engine_inputs(monkeypatch, ev, model, kappa=None):
+    """(integrand, scales, end) that pep_exact, then pep_direct, hand the
+    engine for ev, at decay scale kappa where given."""
+    seen = []
+
+    def capture(f, scales, *, end=math.inf):
+        seen.append((f, scales, end))
+        return QuadratureResult(0.5, 0.0)
+
+    with monkeypatch.context() as patch:
+        if kappa is not None:
+            patch.setattr(noma_ggn.pep, "_kappa", lambda event, lam0: kappa)
+        patch.setattr(noma_ggn.pep, "integrate_semi_infinite", capture)
+        pep_exact(ev, model)
+        pep_direct(ev, model)
+    return seen
+
+
 class TestPepDirect:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
-    def test_integrates_conditional_pep_times_density(self, alpha):
+    def test_integrates_conditional_pep_times_density(self, monkeypatch, alpha):
         # the integrand pep_direct builds once per integral is the public
-        # conditional PEP times the ordered-gain density
+        # conditional PEP times the ordered-gain density, integrated over the
+        # same panels
         model = GGNoiseModel.normalized(alpha)
         for snr_db in range(-10, 121, 10):
             cfg = three_user(db(snr_db), alpha)
             for l in (1, 2, 3):
                 for ev in canonical_and_destructive(cfg, l):
+                    _, scales, end = engine_inputs(monkeypatch, ev, model)[1]
                     reference, _ = integrate_semi_infinite(
                         lambda w: conditional_pep(ev, model, w) * ordered_pdf(3, l, w),
-                        _gain_scales(alpha, _kappa(ev, model.lambda0), ev.mu),
+                        scales,
+                        end=end,
                     )
                     assert pep_direct(ev, model).value == pytest.approx(
                         reference, rel=1e-14, abs=0.0
                     )
 
 
-# pep_exact and pep_direct of canonical events at SNRs where kappa stays at
-# or below the trim threshold, as computed before the constructive panels
-# were trimmed: (alpha, SNR dB, user) -> (exact, direct)
+# pep_exact and pep_direct of canonical events, as computed before the
+# constructive integrals ended at their underflow point:
+# (alpha, SNR dB, user) -> (exact, direct)
 UNTRIMMED_PINS = {
     (0.5, 20.0, 1): (0.001416457794334405, 0.0014164577943343941),
     (0.5, 20.0, 2): (0.0003925182960124275, 0.00039251829601242747),
@@ -285,69 +306,59 @@ UNTRIMMED_PINS = {
 }
 
 
-def trim_threshold(alpha):
-    """The kappa up to which _gain_scales keeps the untrimmed (1, 1/kappa)."""
-    return max(_underflow_arg(alpha) ** (1.0 / alpha) / 64.0, 1.0)
-
-
 class TestConstructiveTrim:
     KAPPAS = np.geomspace(1e-3, 1e7, 51).tolist()
 
-    @staticmethod
-    def captured(monkeypatch, ev, model, kappa):
-        """(integrand, scales) that pep_exact, then pep_direct, hand the
-        engine for ev at decay scale kappa."""
-        seen = []
-
-        def capture(f, scales):
-            seen.append((f, scales))
-            return QuadratureResult(0.5, 0.0)
-
-        monkeypatch.setattr(noma_ggn.pep, "_kappa", lambda event, lam0: kappa)
-        monkeypatch.setattr(noma_ggn.pep, "integrate_semi_infinite", capture)
-        pep_exact(ev, model)
-        pep_direct(ev, model)
-        return seen
-
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
     def test_constructive_integrands_vanish_from_the_top_edge(self, monkeypatch, alpha):
-        # the trimmed top edge drops no mass: wherever it sits below the
-        # untrimmed 64 max(1, 1/kappa), both routes' constructive integrands
-        # are exactly 0.0 on it and beyond
+        # a constructive integral ends where its integrand underflows: both
+        # routes' integrands are exactly 0.0 at that top edge, end, and
+        # beyond, so ending there drops no mass; a destructive pep_direct
+        # integral has no end
         model = GGNoiseModel.normalized(alpha)
-        moved = 0
+        cfg = three_user(db(20.0), alpha)
+        destructive = 0
         for l in (1, 2, 3):
-            ev = canonical_event(three_user(db(20.0), alpha), l)
-            assert ev.mu == 1
-            for kappa in self.KAPPAS:
-                for f, scales in self.captured(monkeypatch, ev, model, kappa):
-                    top = 64.0 * max(scales)
-                    if top == 64.0 * max(1.0, 1.0 / kappa):
-                        assert kappa <= trim_threshold(alpha)
-                        continue
-                    moved += 1
-                    for w in (top, top * (1.0 + 1e-12), 1.5 * top, 10.0 * top, 1e6 * top):
-                        assert f(w) == 0.0, (l, kappa, w)
-        assert moved > 0
+            for ev in canonical_and_destructive(cfg, l):
+                destructive += not ev.mu
+                for kappa in self.KAPPAS:
+                    exact, direct = engine_inputs(monkeypatch, ev, model, kappa)
+                    assert exact[1] == direct[1] == (1.0, 1.0 / kappa)
+                    assert direct[2] == (exact[2] if ev.mu else math.inf)
+                    for f, _, end in (exact, direct) if ev.mu else (exact,):
+                        assert 0.0 < end < math.inf
+                        for w in (end, end * (1.0 + 1e-12), 1.5 * end, 10.0 * end, 1e6 * end):
+                            assert f(w) == 0.0, (l, kappa, w)
+        assert destructive > 0
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
-    def test_scales_untrimmed_up_to_threshold(self, alpha):
-        for kappa in self.KAPPAS:
-            untrimmed = (1.0, 1.0 / kappa)
-            assert _gain_scales(alpha, kappa, False) == untrimmed
-            trimmed = _gain_scales(alpha, kappa, True)
-            if kappa <= trim_threshold(alpha):
-                assert trimmed == untrimmed
-            else:
-                # only the top edge moves: the bottom one is min(scales) / 4
-                assert trimmed[0] < 1.0 and min(trimmed) == min(untrimmed)
+    @staticmethod
+    def pinned_values(alphas, moved):
+        """(exact, direct) now and as pinned, for the UNTRIMMED_PINS at alphas,
+        whose end lies below the untrimmed top edge 64 max(1, 1 / kappa)
+        just where moved says."""
+        for (alpha, snr_db, l), pinned in UNTRIMMED_PINS.items():
+            if alpha in alphas:
+                model = GGNoiseModel.normalized(alpha)
+                ev = canonical_event(three_user(db(snr_db), alpha), l)
+                kappa = _kappa(ev, model.lambda0)
+                end = _underflow_arg(alpha) ** (1.0 / alpha) / kappa
+                assert (end < 64.0 * max(1.0, 1.0 / kappa)) == moved
+                yield (pep_exact(ev, model).value, pep_direct(ev, model).value), pinned
 
     def test_bit_identical_where_the_edge_stays(self):
-        for (alpha, snr_db, l), pinned in UNTRIMMED_PINS.items():
-            model = GGNoiseModel.normalized(alpha)
-            ev = canonical_event(three_user(db(snr_db), alpha), l)
-            assert _kappa(ev, model.lambda0) <= trim_threshold(alpha)
-            assert (pep_exact(ev, model).value, pep_direct(ev, model).value) == pinned
+        # at alpha 0.5 and 1 these ends lie beyond the untrimmed top edge,
+        # so the ladder is the untrimmed one
+        for values, pinned in self.pinned_values((0.5, 1.0), moved=False):
+            assert values == pinned
+
+    def test_moved_edge_agrees_to_rounding(self):
+        # at alpha 2 and 4, z_0^(1/alpha) < 64, so the end z_0^(1/alpha) /
+        # kappa lies below the untrimmed top edge 64 max(1, 1 / kappa) at
+        # every kappa: the ladder stops there and its panels split
+        # differently, while the integrand is 0.0 on all that is cut off. The
+        # values move by the rounding of the panel sums (at most 4.5e-16)
+        for values, pinned in self.pinned_values((2.0, 4.0), moved=True):
+            assert values == pytest.approx(pinned, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.02, 0.1, 0.3, 0.6, 0.75, 0.9, 1.5, 3.0, 20.0])
     def test_underflow_arg_bounds_the_zero_of_q(self, alpha):

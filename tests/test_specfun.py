@@ -225,6 +225,52 @@ class TestQuadrature:
         f = lambda x: math.exp(-x) / (1.0 + x * x)  # noqa: E731
         assert integrate_semi_infinite(f, (1.0,)) == integrate_semi_infinite(f, (1.0,))
 
+    @pytest.mark.parametrize("scales", [(1.0,), (1.0, 1e-3), (1.0, 1e4)])
+    def test_infinite_end_is_the_default(self, scales):
+        f = lambda x: math.exp(-x) / (1.0 + x * x)  # noqa: E731
+        assert integrate_semi_infinite(f, scales, end=math.inf) == integrate_semi_infinite(
+            f, scales
+        )
+
+    @pytest.mark.parametrize(
+        "scales,c",
+        [((1.0,), 3.0), ((1.0,), 64.0), ((10.0,), 500.0), ((1.0, 1e-3), 0.9), ((2.0,), 0.5)],
+    )
+    def test_finite_end_is_never_passed(self, scales, c):
+        # f is nonzero on [0, c) only; with end=c at or below the ladder's
+        # top 64 max(scales), the engine reaches its exact integral
+        # (1 - exp(-c)) without evaluating f beyond c
+        beyond = []
+
+        def f(x):
+            if x >= c:
+                beyond.append(x)
+                return 0.0
+            return math.exp(-x)
+
+        value, err = integrate_semi_infinite(f, scales, end=c)
+        assert [x for x in beyond if x > c] == []
+        assert value == pytest.approx(-math.expm1(-c), rel=1e-12, abs=0.0)
+        assert err <= 1e-10 * value
+
+    @pytest.mark.parametrize("end", [0.25, 0.1, 1e-9])
+    def test_end_below_the_ladder_is_one_panel(self, end):
+        # end <= min(scales) / 4: one panel [0, end]
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 2.0 * x
+
+        value, _ = integrate_semi_infinite(f, (1.0,), end=end)
+        assert value == pytest.approx(end * end, rel=1e-13)
+        assert len(calls) == 15 and max(calls) < end
+
+    @pytest.mark.parametrize("end", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_end_must_be_positive(self, end):
+        with pytest.raises(DomainError, match="end must be positive"):
+            integrate_semi_infinite(lambda x: math.exp(-x), (1.0,), end=end)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_node_is_named(self, bad):
         calls = []

@@ -15,10 +15,12 @@ changed nor imported.
 Writes ``BENCH_<pr>.json`` at the root of this checkout: for every
 end-to-end metric each side's runs, median and quartiles, and the number of
 pairs in which the change was better, worse or tied; the seeds, which side
-ran first in each pair, every run's correctness and operation counts, the
-host, its CPU count and the Python and numpy versions. After the pairs it
-runs each side once more with ``--trace 1`` at the first pair's seed and
-writes both sides' per-layer metrics (``raw.*`` included) under ``traced``.
+ran first in each pair, each side's git commit (where it is a work tree)
+and a SHA-256 of its ``src/`` and ``perfbench/`` files, every run's
+correctness and operation counts, the host, its CPU count and the Python
+and numpy versions. After the pairs it runs each side once more with
+``--trace 1`` at the first pair's seed and writes both sides' per-layer
+metrics (``raw.*`` included) under ``traced``.
 
 The tool stops on any run the benchmark would refuse: one that exits
 non-zero, prints no result, or whose last line is not strict JSON (no
@@ -31,6 +33,7 @@ number of operations.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -101,17 +104,35 @@ def check_counts(parent: dict, change: dict) -> None:
             raise ValueError(f"{key} differs: parent {parent[key]}, change {change[key]}")
 
 
+def source_digest(checkout: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of the files under the
+    checkout's src/ and perfbench/, skipping __pycache__/ and perfbench/out/:
+    what the side ran, also where it is not a git work tree."""
+    files = sorted(
+        path.relative_to(checkout).as_posix()
+        for top in ("src", "perfbench")
+        for path in (checkout / top).rglob("*")
+        if path.is_file()
+    )
+    digest = hashlib.sha256()
+    for rel in files:
+        if "__pycache__" not in rel.split("/") and not rel.startswith("perfbench/out/"):
+            data = (checkout / rel).read_bytes()
+            digest.update(f"{rel}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
+
+
 def revision(checkout: Path) -> dict:
-    """The checkout's git commit and whether its tracked files differ from it;
-    nulls outside a git work tree."""
+    """The checkout's git commit and whether its tracked files differ from it
+    (nulls outside a git work tree), and its source_digest."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                               text=True).stdout.strip()
 
     commit = git("rev-parse", "--short", "HEAD")
-    if not commit:
-        return {"commit": None, "modified": None}
-    return {"commit": commit, "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    modified = bool(git("status", "--porcelain", "--untracked-files=no")) if commit else None
+    return {"commit": commit or None, "modified": modified, "source_sha256": source_digest(checkout)}
 
 
 def spread(values: list) -> dict:
