@@ -160,34 +160,38 @@ def _underflow_arg(alpha: float) -> float:
     return z + max(d, 0.0)
 
 
+def _constructive_end(alpha: float, kappa: float) -> float:
+    """w_0 = _underflow_arg(alpha)^(1/alpha) / kappa, from which a factor
+    exp(-(kappa w)^alpha) or Q(1/alpha, (kappa w)^alpha) is exactly 0.0."""
+    return _underflow_arg(alpha) ** (1.0 / alpha) / kappa
+
+
 def _pep_quadrature(
     route: str,
     event: ErrorEvent,
     alpha: float,
     kappa: float,
     integrand: Callable[[float], float],
-    constructive: bool,
-    scale: float,
+    end: float,
+    factor: float,
     flip: bool,
 ) -> tuple:
-    """scale times the integral of integrand over the gain (one minus that
+    """factor times the integral of integrand over the gain (one minus that
     when flip), with the engine's error scaled alike, as (value, error).
 
-    The integrand varies on the density's scale 1 and the gamma factor's
-    1 / kappa. constructive says it carries exp(-(kappa w)^alpha) or
-    Q(1/alpha, .) of that, and so is exactly 0.0 from
-    w_0 = _underflow_arg(alpha)^(1/alpha) / kappa on: the integral ends there.
+    The integrand is exactly 0.0 from end on and varies on the density's
+    scale 1 and the gamma factor's 1 / kappa, the smaller of which is the
+    engine's scale.
 
     A QuadratureError is raised again naming the route and the event's user,
     SNR, alpha, mu and kappa, and carrying the best PEP estimate.
     """
-    end = _underflow_arg(alpha) ** (1.0 / alpha) / kappa if constructive else math.inf
     try:
-        val, err = integrate_semi_infinite(integrand, (1.0, 1.0 / kappa), end=end)
+        val, err = integrate_semi_infinite(integrand, min(1.0, 1.0 / kappa), end=end)
     except QuadratureError as exc:
-        best = scale * exc.best_estimate
+        best = factor * exc.best_estimate
         best = 1.0 - best if flip else best
-        error = scale * exc.error_estimate
+        error = factor * exc.error_estimate
         raise QuadratureError(
             f"PEP by the {route} route not converged (user {event.l}, gamma_bar "
             f"{event.gamma_bar!r}, alpha {alpha!r}, mu {event.mu}, kappa {kappa!r}): "
@@ -195,8 +199,8 @@ def _pep_quadrature(
             best_estimate=best,
             error_estimate=error,
         ) from exc
-    val = scale * val
-    return (1.0 - val if flip else val), scale * err
+    val = factor * val
+    return (1.0 - val if flip else val), factor * err
 
 
 def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
@@ -229,9 +233,10 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
         return math.exp(-z) * beta
 
     a_l = _order_coeff(L, l)
-    scale = a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa
+    factor = a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa
     return _pep_quadrature(
-        "quadrature", event, alpha, kappa, integrand, True, scale, not event.mu
+        "quadrature", event, alpha, kappa, integrand, _constructive_end(alpha, kappa),
+        factor, not event.mu,
     )
 
 
@@ -265,9 +270,11 @@ def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     def integrand(w: float) -> float:
         return pep_at(w) * ordered_pdf(L, l, w)
 
-    value, error = _pep_quadrature(
-        "direct", event, model.alpha, kappa, integrand, bool(event.mu), 1.0, False
-    )
+    # the density's exp(-(L - l + 1) w^2 / 2) is exactly 0.0 from here on
+    end = math.sqrt(2.0 * _EXP_UNDERFLOW / (L - l + 1))
+    if event.mu:
+        end = min(end, _constructive_end(model.alpha, kappa))
+    value, error = _pep_quadrature("direct", event, model.alpha, kappa, integrand, end, 1.0, False)
     return PepResult(value=value, method="direct", error_estimate=error)
 
 

@@ -233,9 +233,9 @@ def _raise_at_non_finite_node(g: Callable[[float], float], lo: float, hi: float)
     every node is finite (their weighted sum overflowed)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    for t in [t for xk, _, _ in _GK15_PAIRS for t in (mid - half * xk, mid + half * xk)] + [mid]:
-        if not math.isfinite(g(t)):
-            raise DomainError(f"integrand not finite at x={t / (1.0 - t)!r}")
+    for u in [u for xk, _, _ in _GK15_PAIRS for u in (mid - half * xk, mid + half * xk)] + [mid]:
+        if not math.isfinite(g(u)):
+            raise DomainError(f"integrand not finite at x={math.expm1(u)!r}")
 
 
 # Convergence is driven by relative error: PEP values span hundreds of orders
@@ -246,57 +246,48 @@ _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 200
 
 
-# initial panel rule, explained in integrate_semi_infinite
+# ratio of neighbouring initial panel edges in x, explained in
+# integrate_semi_infinite
 _EDGE_RATIO = 4.0
-_TOP_SCALES = 64.0
 
 
-def _initial_edges(scales, end) -> list:
-    """Initial panel edges on the mapped (0, 1) domain, 0 included; 1 (the
-    tail panel's end) only when the ladder stops short of end."""
-    scales = tuple(scales)
-    if not scales:
-        raise DomainError("at least one scale is required")
-    for s in scales:
-        if not (math.isfinite(s) and s > 0.0):
-            raise DomainError(f"scales must be positive and finite, got {s!r}")
-    if not end > 0.0:
-        raise DomainError(f"end must be positive, got {end!r}")
-    lo = min(scales) / 4.0
-    if end <= lo:
-        return [0.0, end / (1.0 + end)]
-    top = _TOP_SCALES * max(scales)
-    log_ratio = math.log(min(top, end)) - math.log(lo)
+def _initial_edges(scale: float, end: float) -> list:
+    """Initial panel edges in u = log1p(x), from 0 to log1p(end)."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError(f"scale must be positive and finite, got {scale!r}")
+    if not 0.0 < end < math.inf:
+        raise DomainError(f"end must be positive and finite, got {end!r}")
+    lo = scale / 4.0
+    log_ratio = math.log(end) - math.log(lo)
+    # n <= 0 where end <= lo: the one panel [0, end]
     n = math.ceil(log_ratio / math.log(_EDGE_RATIO))
-    xs = [lo * math.exp(log_ratio * k / n) for k in range(n + 1)]
-    return [0.0] + [x / (1.0 + x) for x in xs] + ([1.0] if top < end else [])
+    xs = [lo * math.exp(log_ratio * k / n) for k in range(n)]
+    return [0.0] + [math.log1p(x) for x in xs] + [math.log1p(end)]
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float], scales, *, end: float = math.inf
+    f: Callable[[float], float], scale: float, *, end: float
 ) -> QuadratureResult:
-    """Adaptive integral of f over [0, inf) for eventually-decaying f that
-    is exactly 0.0 from end on.
+    """Adaptive integral over [0, inf) of an f that is exactly 0.0 from end
+    on, that is the integral of f over [0, end].
 
-    scales are the positive lengths in x on which f changes, e.g. 1/c for
-    exp(-c x); the caller names them all. The initial panels are geometric
-    in x with ratio at most 4 from min(scales) / 4 to min(64 max(scales),
-    end), then, only where the ladder stops short of end, one tail panel to
-    infinity; one panel [0, end] where end <= min(scales) / 4. The top edge
-    sits at 64 scales because mass
-    beyond it goes unseen by the tail panel's nodes: with an edge at 8 / c,
-    e^-8 of c exp(-c x) would be missed. The domain is mapped to (0, 1) via
-    x = t / (1 - t) and each panel integrated with an adaptively bisected
-    Gauss-Kronrod 7-15 rule. Deterministic. Raises DomainError for no scales
-    or a non-positive or non-finite one, or an end that is not positive,
-    and QuadratureError (carrying the best estimate) if the error target is
-    still unmet after _MAX_SUBDIVISIONS bisections.
+    scale is the smallest length in x on which f changes, e.g. 1 / c for
+    exp(-c x). The initial panels are geometric in x with ratio at most 4
+    from scale / 4 to end, so a feature at any length between the two sits
+    within a panel or two of its own size; one panel [0, end] where
+    end <= scale / 4. Each panel is integrated in u = log1p(x), x = expm1(u)
+    with Jacobian 1 + x, which keeps full relative precision in x at every
+    x a double holds, with an adaptively bisected Gauss-Kronrod 7-15 rule.
+    Deterministic. Raises DomainError for a scale that is not positive and
+    finite or an end that is not, and QuadratureError (carrying the best
+    estimate) if the error target is still unmet after _MAX_SUBDIVISIONS
+    bisections.
     """
-    edges = _initial_edges(scales, end)
+    edges = _initial_edges(scale, end)
 
-    def g(t: float) -> float:
-        u = 1.0 - t
-        return f(t / u) / (u * u)
+    def g(u: float) -> float:
+        x = math.expm1(u)
+        return f(x) * (1.0 + x)
 
     def panel(lo: float, hi: float):
         # the Kronrod weights are positive, so a node that is not finite

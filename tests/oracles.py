@@ -48,7 +48,9 @@ def t2_term(alpha: float, kappa: float, delta: int) -> float:
     def integrand(w: float) -> float:
         return math.exp(-((kappa * w) ** alpha) - 0.5 * delta * w * w)
 
-    val, _ = integrate_semi_infinite(integrand, (1.0 / math.sqrt(delta), 1.0 / kappa))
+    # exp(-delta w^2 / 2) is 0.0 in double from delta w^2 / 2 = 745.2 on
+    end = math.sqrt(2.0 * 745.2 / delta)
+    val, _ = integrate_semi_infinite(integrand, min(1.0 / math.sqrt(delta), 1.0 / kappa), end=end)
     return alpha * kappa / delta * val
 
 

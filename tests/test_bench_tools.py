@@ -1,5 +1,5 @@
 """The benchmark's tracer, a traced pass of each workload, and the pair
-tool's strict result parser and source digest.
+tool's strict result parser, bound verdict and source digest.
 
 The modules are loaded from their files: neither ``perfbench/`` nor
 ``tools/`` is a package, and nothing under ``perfbench/`` is written.
@@ -140,6 +140,41 @@ class TestCheckCounts:
         change = dict(parent, **{key: parent[key] + 1})
         with pytest.raises(ValueError, match=f"{key} differs"):
             bench_pairs.check_counts(parent, change)
+
+
+class TestWithinBound:
+    # values exact in binary, so each edge is met exactly
+    @pytest.mark.parametrize(
+        "better,held,beyond", [("lower", 5.0, 5.000001), ("higher", 3.0, 2.999999)]
+    )
+    def test_both_edges(self, bench_pairs, better, held, beyond):
+        # parent median 4 and bound 0.25: the change may be worse by 1
+        assert bench_pairs.within_bound(4.0, held, 0.25, better)
+        assert not bench_pairs.within_bound(4.0, beyond, 0.25, better)
+
+    @pytest.mark.parametrize("better,change", [("lower", 0.5), ("higher", 400.0)])
+    def test_better_is_held(self, bench_pairs, better, change):
+        assert bench_pairs.within_bound(4.0, change, 0.0, better)
+
+    def test_summary_records_it_and_verdict_names_it(self, bench_pairs):
+        runs = {
+            side: [{"metrics": {"wall_s": {"value": v}, "peak_rss_mb": {"value": m}}}
+                   for v, m in rows]
+            for side, rows in (("parent", [(4.0, 40.0)] * 3), ("change", [(5.0, 44.5)] * 3))
+        }
+        declared = [
+            {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+        ]
+        metrics = bench_pairs.summary(runs, declared)
+        assert metrics["wall_s"]["within_bound"] is True
+        assert metrics["peak_rss_mb"]["within_bound"] is False
+        assert bench_pairs.verdict("wall_s", metrics["wall_s"]) == (
+            "wall_s: median 4 -> 5 s (+25.0 %, lower is better): bound 25 % held"
+        )
+        assert bench_pairs.verdict("peak_rss_mb", metrics["peak_rss_mb"]).endswith(
+            "bound 10 % NOT held"
+        )
 
 
 def test_side_by_side_keeps_either_sides_metrics(bench_pairs):

@@ -55,9 +55,10 @@ class TestModel:
     def test_normalization_and_variance(self, alpha):
         # even density: integrate over [0, inf) and double
         model = GGNoiseModel(alpha=alpha, sigma2=1.7)
-        scales = (1.0 / model.lam,)
-        mass, _ = integrate_semi_infinite(lambda n: float(model.pdf(n)), scales)
-        var, _ = integrate_semi_infinite(lambda n: n * n * float(model.pdf(n)), scales)
+        # exp(-(lam n)^alpha) is 0.0 in double from (lam n)^alpha = 745.2 on
+        scale, end = 1.0 / model.lam, 745.2 ** (1.0 / alpha) / model.lam
+        mass, _ = integrate_semi_infinite(lambda n: float(model.pdf(n)), scale, end=end)
+        var, _ = integrate_semi_infinite(lambda n: n * n * float(model.pdf(n)), scale, end=end)
         assert 2.0 * mass == pytest.approx(1.0, abs=1e-9)
         assert 2.0 * var == pytest.approx(model.sigma2, abs=1e-8)
 

@@ -248,12 +248,12 @@ def canonical_and_destructive(cfg, l):
 
 
 def engine_inputs(monkeypatch, ev, model, kappa=None):
-    """(integrand, scales, end) that pep_exact, then pep_direct, hand the
+    """(integrand, scale, end) that pep_exact, then pep_direct, hand the
     engine for ev, at decay scale kappa where given."""
     seen = []
 
-    def capture(f, scales, *, end=math.inf):
-        seen.append((f, scales, end))
+    def capture(f, scale, *, end):
+        seen.append((f, scale, end))
         return QuadratureResult(0.5, 0.0)
 
     with monkeypatch.context() as patch:
@@ -276,10 +276,10 @@ class TestPepDirect:
             cfg = three_user(db(snr_db), alpha)
             for l in (1, 2, 3):
                 for ev in canonical_and_destructive(cfg, l):
-                    _, scales, end = engine_inputs(monkeypatch, ev, model)[1]
+                    _, scale, end = engine_inputs(monkeypatch, ev, model)[1]
                     reference, _ = integrate_semi_infinite(
                         lambda w: conditional_pep(ev, model, w) * ordered_pdf(3, l, w),
-                        scales,
+                        scale,
                         end=end,
                     )
                     assert pep_direct(ev, model).value == pytest.approx(
@@ -307,57 +307,71 @@ UNTRIMMED_PINS = {
 
 
 class TestConstructiveTrim:
-    KAPPAS = np.geomspace(1e-3, 1e7, 51).tolist()
+    # from about -1000 dB to far above the benchmark's 120 dB
+    KAPPAS = np.geomspace(1e-50, 1e7, 58).tolist()
+
+    def integrals(self, monkeypatch, alpha, mu):
+        """(integrand, scale, end, kappa, constructive) of every integral
+        both routes hand the engine for the reference events with that mu,
+        over KAPPAS; constructive says the integrand carries the gamma
+        factor's exp(-(kappa w)^alpha) or Q(1/alpha, (kappa w)^alpha)."""
+        model = GGNoiseModel.normalized(alpha)
+        cfg = three_user(db(20.0), alpha)
+        for l in (1, 2, 3):
+            for ev in canonical_and_destructive(cfg, l):
+                if ev.mu == mu:
+                    for kappa in self.KAPPAS:
+                        exact, direct = engine_inputs(monkeypatch, ev, model, kappa)
+                        # pep_exact integrates the constructive integrand
+                        # for either mu
+                        yield (*exact, kappa, True)
+                        yield (*direct, kappa, bool(mu))
+
+    @staticmethod
+    def assert_vanishes_from(f, end):
+        assert 0.0 < end < math.inf
+        for w in (end, end * (1.0 + 1e-12), 1.5 * end, 10.0 * end, 1e6 * end):
+            assert f(w) == 0.0, (end, w)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
     def test_constructive_integrands_vanish_from_the_top_edge(self, monkeypatch, alpha):
-        # a constructive integral ends where its integrand underflows: both
-        # routes' integrands are exactly 0.0 at that top edge, end, and
-        # beyond, so ending there drops no mass; a destructive pep_direct
-        # integral has no end
-        model = GGNoiseModel.normalized(alpha)
-        cfg = three_user(db(20.0), alpha)
-        destructive = 0
-        for l in (1, 2, 3):
-            for ev in canonical_and_destructive(cfg, l):
-                destructive += not ev.mu
-                for kappa in self.KAPPAS:
-                    exact, direct = engine_inputs(monkeypatch, ev, model, kappa)
-                    assert exact[1] == direct[1] == (1.0, 1.0 / kappa)
-                    assert direct[2] == (exact[2] if ev.mu else math.inf)
-                    for f, _, end in (exact, direct) if ev.mu else (exact,):
-                        assert 0.0 < end < math.inf
-                        for w in (end, end * (1.0 + 1e-12), 1.5 * end, 10.0 * end, 1e6 * end):
-                            assert f(w) == 0.0, (l, kappa, w)
-        assert destructive > 0
+        # an integral that carries the gamma factor ends at w_0, where that
+        # factor underflows, or (pep_direct) where the density's
+        # exp(-(L - l + 1) w^2 / 2) does, if that is nearer: the integrand is
+        # exactly 0.0 at that end and beyond, so ending there drops no mass
+        count = 0
+        for mu in (0, 1):
+            for f, scale, end, kappa, constructive in self.integrals(monkeypatch, alpha, mu):
+                if constructive:
+                    count += 1
+                    assert scale == min(1.0, 1.0 / kappa)
+                    assert end <= _underflow_arg(alpha) ** (1.0 / alpha) / kappa
+                    self.assert_vanishes_from(f, end)
+        # three constructive events by both routes, two destructive by pep_exact
+        assert count == (3 * 2 + 2) * len(self.KAPPAS)
 
-    @staticmethod
-    def pinned_values(alphas, moved):
-        """(exact, direct) now and as pinned, for the UNTRIMMED_PINS at alphas,
-        whose end lies below the untrimmed top edge 64 max(1, 1 / kappa)
-        just where moved says."""
-        for (alpha, snr_db, l), pinned in UNTRIMMED_PINS.items():
-            if alpha in alphas:
-                model = GGNoiseModel.normalized(alpha)
-                ev = canonical_event(three_user(db(snr_db), alpha), l)
-                kappa = _kappa(ev, model.lambda0)
-                end = _underflow_arg(alpha) ** (1.0 / alpha) / kappa
-                assert (end < 64.0 * max(1.0, 1.0 / kappa)) == moved
-                yield (pep_exact(ev, model).value, pep_direct(ev, model).value), pinned
-
-    def test_bit_identical_where_the_edge_stays(self):
-        # at alpha 0.5 and 1 these ends lie beyond the untrimmed top edge,
-        # so the ladder is the untrimmed one
-        for values, pinned in self.pinned_values((0.5, 1.0), moved=False):
-            assert values == pinned
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
+    def test_destructive_integrands_vanish_from_their_end(self, monkeypatch, alpha):
+        # a destructive pep_direct integral ends where the density's
+        # exp(-(L - l + 1) w^2 / 2) underflows, whatever kappa is
+        ends = {math.sqrt(2.0 * 745.2 / (3 - l + 1)) for l in (1, 2, 3)}
+        count = 0
+        for f, scale, end, kappa, constructive in self.integrals(monkeypatch, alpha, 0):
+            if not constructive:
+                count += 1
+                assert scale == min(1.0, 1.0 / kappa)
+                assert end in ends
+                self.assert_vanishes_from(f, end)
+        assert count == 2 * len(self.KAPPAS)
 
     def test_moved_edge_agrees_to_rounding(self):
-        # at alpha 2 and 4, z_0^(1/alpha) < 64, so the end z_0^(1/alpha) /
-        # kappa lies below the untrimmed top edge 64 max(1, 1 / kappa) at
-        # every kappa: the ladder stops there and its panels split
-        # differently, while the integrand is 0.0 on all that is cut off. The
-        # values move by the rounding of the panel sums (at most 4.5e-16)
-        for values, pinned in self.pinned_values((2.0, 4.0), moved=True):
+        # each pinned integral now ends where its integrand is 0.0, on panels
+        # in log1p(w), and no tail panel reaches past that end; the values
+        # move by less than 2e-15 relative
+        for (alpha, snr_db, l), pinned in UNTRIMMED_PINS.items():
+            model = GGNoiseModel.normalized(alpha)
+            ev = canonical_event(three_user(db(snr_db), alpha), l)
+            values = (pep_exact(ev, model).value, pep_direct(ev, model).value)
             assert values == pytest.approx(pinned, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.02, 0.1, 0.3, 0.6, 0.75, 0.9, 1.5, 3.0, 20.0])
@@ -432,17 +446,22 @@ class TestMpmathPins:
             assert pep_exact(ev, model).value == pytest.approx(reference, rel=1e-10, abs=0.0)
             assert pep_direct(ev, model).value == pytest.approx(reference, rel=1e-10, abs=0.0)
 
-    # every panel is integrated in t = x / (1 + x), which near t = 1 resolves
-    # x only to about 1e-16 / (1 - t) relative; at kappa ~ 1e-7 the integrand
-    # lives there, and the miss (2.3e-10 relative) is past the estimate
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="pep_exact's error estimate is not a bound at -130 dB",
-    )
+    # at kappa ~ 1e-7 the integrand spreads to w ~ 1e8; a map of [0, inf) to
+    # t = w / (1 + w) resolved w there to about 1e-16 / (1 - t) relative only
+    # and missed by 2.3e-10, past this estimate
     def test_error_estimate_covers_miss_at_minus_130db(self):
         ev = canonical_event(three_user(db(-130.0)), 3)
         result = pep_exact(ev, GGNoiseModel.normalized(2.0))
         assert abs(result.value - pep_mp(ev)) <= result.error_estimate
+
+    def test_constructive_pep_below_half_at_minus_180db(self):
+        # that map returned 0.500000000229632 here, above the 1/2 that a
+        # constructive PEP never reaches
+        ev = canonical_event(three_user(db(-180.0)), 2)
+        reference = pep_mp(ev)
+        assert reference == pytest.approx(0.49999999947818, rel=0.0, abs=1e-14)
+        value = pep_exact(ev, GGNoiseModel.normalized(2.0)).value
+        assert value == pytest.approx(reference, rel=0.0, abs=1e-12)
 
 
 def _found_examples(test):
@@ -479,6 +498,22 @@ class TestPepProperties:
             louder_value = pep_exact(ev_louder, model).value
             # more SNR: a constructive PEP falls, a destructive one rises
             assert (louder_value <= exact) if ev.mu else (louder_value >= exact)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        weights=_WEIGHTS,
+        alpha=st.floats(0.05, 70.0) | st.sampled_from([0.5, 1.0, 2.0]),
+        snr_db=st.floats(-1000.0, 3000.0),
+        l=st.integers(1, 3),
+    )
+    def test_constructive_pep_at_most_half(self, weights, alpha, snr_db, l):
+        # the conditional PEP of a constructive event is at most 1/2 at every
+        # gain, so its average is too, up to the quadrature's own estimate
+        model = GGNoiseModel.normalized(alpha)
+        ev = canonical_event(split_config(weights, snr_db, alpha), l)
+        for route in (pep_exact, pep_direct):
+            result = route(ev, model)
+            assert 0.0 <= result.value <= 0.5 + result.error_estimate, route
 
     # up to 40 dB: above it the closed form's alternating sum cancels past
     # 1e-6 on some splits (test_closed_form_cancels_above_50db)

@@ -188,6 +188,8 @@ class TestErfc:
 
 
 class TestQuadrature:
+    # the integrands below are exactly 0.0 in double from x = 745.2 on, where
+    # exp(-x) has underflowed (from x = 745.1332...), if not before
     @pytest.mark.parametrize(
         "f,expected",
         [
@@ -197,39 +199,37 @@ class TestQuadrature:
         ],
     )
     def test_known_integrals(self, f, expected):
-        value, err = integrate_semi_infinite(f, (1.0,))
+        value, err = integrate_semi_infinite(f, 1.0, end=745.2)
         assert value == pytest.approx(expected, rel=1e-10)
         assert err <= max(1e-12, 1e-10 * abs(value))
 
     @pytest.mark.parametrize("split", [0.3, 1.0, 7.5])
     def test_split_domain_invariance(self, split):
         f = lambda x: math.exp(-x) * math.cos(x)  # noqa: E731
-        whole, _ = integrate_semi_infinite(f, (1.0,))
-        left, _ = integrate_semi_infinite(lambda x: f(x) if x < split else 0.0, (1.0,))
-        right, _ = integrate_semi_infinite(lambda x: f(x) if x >= split else 0.0, (1.0,))
+        whole, _ = integrate_semi_infinite(f, 1.0, end=745.2)
+        left, _ = integrate_semi_infinite(lambda x: f(x) if x < split else 0.0, 1.0, end=745.2)
+        right, _ = integrate_semi_infinite(lambda x: f(x) if x >= split else 0.0, 1.0, end=745.2)
         assert left + right == pytest.approx(whole, abs=1e-9)
 
     def test_sharp_decay_scales(self):
-        # mass concentrated near zero, on the stated scale 1/c, must not be
-        # missed by coarse panels
-        for c in (1e3, 1e9, 1e12):
-            value, _ = integrate_semi_infinite(lambda x: c * math.exp(-c * x), (1.0 / c,))
-            assert value == pytest.approx(1.0, rel=1e-9)
+        # mass on the stated scale 1/c, far below 1 or far above it, is
+        # found to full precision: the nodes resolve every x to a double's
+        # relative precision, also where x >> 1
+        for c in (1e-30, 1e-18, 1e-12, 1e-9, 1e-6, 1.0, 1e3, 1e9, 1e12):
+            value, _ = integrate_semi_infinite(
+                lambda x: c * math.exp(-c * x), 1.0 / c, end=745.2 / c
+            )
+            assert value == pytest.approx(1.0, rel=0.0, abs=1e-13), c
 
-    @pytest.mark.parametrize("scales", [(), (0.0,), (1.0, -2.0), (math.inf,), (1.0, math.nan)])
-    def test_scales_must_be_positive_and_finite(self, scales):
-        with pytest.raises(DomainError):
-            integrate_semi_infinite(lambda x: math.exp(-x), scales)
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -2.0, math.inf, -math.inf, math.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(DomainError, match="scale must be positive and finite"):
+            integrate_semi_infinite(lambda x: math.exp(-x), scale, end=745.2)
 
     def test_deterministic(self):
         f = lambda x: math.exp(-x) / (1.0 + x * x)  # noqa: E731
-        assert integrate_semi_infinite(f, (1.0,)) == integrate_semi_infinite(f, (1.0,))
-
-    @pytest.mark.parametrize("scales", [(1.0,), (1.0, 1e-3), (1.0, 1e4)])
-    def test_infinite_end_is_the_default(self, scales):
-        f = lambda x: math.exp(-x) / (1.0 + x * x)  # noqa: E731
-        assert integrate_semi_infinite(f, scales, end=math.inf) == integrate_semi_infinite(
-            f, scales
+        assert integrate_semi_infinite(f, 1.0, end=745.2) == integrate_semi_infinite(
+            f, 1.0, end=745.2
         )
 
     @pytest.mark.parametrize(
@@ -237,9 +237,9 @@ class TestQuadrature:
         [((1.0,), 3.0), ((1.0,), 64.0), ((10.0,), 500.0), ((1.0, 1e-3), 0.9), ((2.0,), 0.5)],
     )
     def test_finite_end_is_never_passed(self, scales, c):
-        # f is nonzero on [0, c) only; with end=c at or below the ladder's
-        # top 64 max(scales), the engine reaches its exact integral
-        # (1 - exp(-c)) without evaluating f beyond c
+        # f is nonzero on [0, c) only and changes on the lengths scales; with
+        # the smallest as scale and end=c the engine reaches its exact
+        # integral (1 - exp(-c)) without evaluating f beyond c
         beyond = []
 
         def f(x):
@@ -248,28 +248,29 @@ class TestQuadrature:
                 return 0.0
             return math.exp(-x)
 
-        value, err = integrate_semi_infinite(f, scales, end=c)
+        value, err = integrate_semi_infinite(f, min(scales), end=c)
         assert [x for x in beyond if x > c] == []
         assert value == pytest.approx(-math.expm1(-c), rel=1e-12, abs=0.0)
         assert err <= 1e-10 * value
 
     @pytest.mark.parametrize("end", [0.25, 0.1, 1e-9])
     def test_end_below_the_ladder_is_one_panel(self, end):
-        # end <= min(scales) / 4: one panel [0, end]
+        # end <= scale / 4: one panel [0, end]
         calls = []
 
         def f(x):
             calls.append(x)
             return 2.0 * x
 
-        value, _ = integrate_semi_infinite(f, (1.0,), end=end)
+        value, _ = integrate_semi_infinite(f, 1.0, end=end)
         assert value == pytest.approx(end * end, rel=1e-13)
         assert len(calls) == 15 and max(calls) < end
 
-    @pytest.mark.parametrize("end", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("end", [0.0, -0.0, -1.0, -math.inf, math.nan, math.inf])
     def test_end_must_be_positive(self, end):
-        with pytest.raises(DomainError, match="end must be positive"):
-            integrate_semi_infinite(lambda x: math.exp(-x), (1.0,), end=end)
+        # and finite: the engine has no panel to infinity
+        with pytest.raises(DomainError, match="end must be positive and finite"):
+            integrate_semi_infinite(lambda x: math.exp(-x), 1.0, end=end)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_node_is_named(self, bad):
@@ -280,7 +281,7 @@ class TestQuadrature:
             return bad if x > 2.0 else math.exp(-x)
 
         with pytest.raises(DomainError, match="integrand not finite at x=") as exc_info:
-            integrate_semi_infinite(f, (1.0,))
+            integrate_semi_infinite(f, 1.0, end=745.2)
         named = float(str(exc_info.value).rsplit("=", 1)[1])
         # the first node past 2 that the rule evaluated
         assert named == next(x for x in calls if x > 2.0)
@@ -311,7 +312,7 @@ class TestQuadrature:
     def test_nonconvergence_reports_best_estimate(self):
         # oscillation far too fast for the subdivision budget
         with pytest.raises(QuadratureError) as exc_info:
-            integrate_semi_infinite(lambda x: math.exp(-x) * math.sin(1e6 * x), (1.0, 1e-6))
+            integrate_semi_infinite(lambda x: math.exp(-x) * math.sin(1e6 * x), 1e-6, end=745.2)
         err = exc_info.value
         assert math.isfinite(err.best_estimate)
         assert err.error_estimate > 0.0

@@ -13,14 +13,16 @@ sides run as long as the benchmark does. The benchmark itself is neither
 changed nor imported.
 
 Writes ``BENCH_<pr>.json`` at the root of this checkout: for every
-end-to-end metric each side's runs, median and quartiles, and the number of
-pairs in which the change was better, worse or tied; the seeds, which side
+end-to-end metric each side's runs, median and quartiles, the number of
+pairs in which the change was better, worse or tied, and whether the
+change's median held the metric's bound; the seeds, which side
 ran first in each pair, each side's git commit (where it is a work tree)
 and a SHA-256 of its ``src/`` and ``perfbench/`` files, every run's
 correctness and operation counts, the host, its CPU count and the Python
 and numpy versions. After the pairs it runs each side once more with
 ``--trace 1`` at the first pair's seed and writes both sides' per-layer
-metrics (``raw.*`` included) under ``traced``.
+metrics (``raw.*`` included) under ``traced``. Last it prints one verdict
+line per end-to-end metric to stderr.
 
 The tool stops on any run the benchmark would refuse: one that exits
 non-zero, prints no result, or whose last line is not strict JSON (no
@@ -141,8 +143,26 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def within_bound(parent: float, change: float, bound: float, better: str) -> bool:
+    """Whether the change's median is worse than the parent's by no more than
+    bound times the parent's, worse meaning higher where lower is better and
+    lower where higher is."""
+    worse = change - parent if better == "lower" else parent - change
+    return worse <= bound * parent
+
+
+def verdict(name: str, entry: dict) -> str:
+    """One line on whether a summary entry's metric held its bound."""
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    move = f"{100.0 * (change / parent - 1.0):+.1f} %" if parent else "n/a"
+    held = "held" if entry["within_bound"] else "NOT held"
+    return (f"{name}: median {parent:.4g} -> {change:.4g} {entry['unit']} ({move}, "
+            f"{entry['better']} is better): bound {100.0 * entry['bound']:g} % {held}")
+
+
 def summary(runs: dict, declared: list) -> dict:
-    """Per end-to-end metric: each side's spread and the change's pair record."""
+    """Per end-to-end metric: each side's spread, the change's pair record
+    and whether the change's median held the bound."""
     metrics = {}
     for spec in declared:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -151,8 +171,11 @@ def summary(runs: dict, declared: list) -> dict:
         for old, new in zip(values["parent"], values["change"]):
             key = "tied" if new == old else "better" if (new < old) == lower else "worse"
             record[key] += 1
+        sides = {side: spread(values[side]) for side in SIDES}
+        held = within_bound(sides["parent"]["median"], sides["change"]["median"], spec["bound"],
+                            spec["better"])
         metrics[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                         **{side: spread(values[side]) for side in SIDES}, "change_pairs": record}
+                         **sides, "change_pairs": record, "within_bound": held}
     return metrics
 
 
@@ -220,6 +243,8 @@ def main() -> int:
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     log(f"wrote {path}")
+    for name, entry in out["metrics"].items():
+        log(verdict(name, entry))
     return 0
 
 
