@@ -374,15 +374,16 @@ _SUBCOMMAND_DEFAULTS = {"diversity": {"snr_db": "60:20:80"}}
 
 
 def _timed(route, *args) -> tuple:
-    """route(*args).value and its wall time in seconds."""
+    """route(*args) and its wall time in seconds."""
     start = time.perf_counter()
-    value = route(*args).value
-    return value, time.perf_counter() - start
+    result = route(*args)
+    return result, time.perf_counter() - start
 
 
 def _selftest() -> int:
     """Cross-route agreement on the reference three-user configuration. Each
-    line gives the wall time of the two routes its check compares."""
+    line names pep_exact's method and the route it is checked against, and
+    gives the wall time of the two."""
     failures = 0
     for alpha in (0.5, 1.0, 2.0):
         model = GGNoiseModel.normalized(alpha)
@@ -396,12 +397,12 @@ def _selftest() -> int:
                 if alpha in (1.0, 2.0):
                     checks.append(("closed", *_timed(pep_closed_form, event, alpha)))
                 for name, other, other_s in checks:
-                    rel = abs(exact - other) / max(abs(exact), 1e-300)
+                    rel = abs(exact.value - other.value) / max(abs(exact.value), 1e-300)
                     ok = rel < 1e-6
                     failures += 0 if ok else 1
                     print(
                         f"{'PASS' if ok else 'FAIL'} alpha={alpha} snr={db:g}dB "
-                        f"user={l} quadrature-vs-{name} rel_err={rel:.2e} "
+                        f"user={l} {exact.method}-vs-{name} rel_err={rel:.2e} "
                         f"time={1e3 * (exact_s + other_s):.2f}ms"
                     )
     return 0 if failures == 0 else 3

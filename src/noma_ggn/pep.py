@@ -2,17 +2,19 @@
 
 The exact per-user PEP averages the conditional pairwise decision
 probability over the ordered Rayleigh gain of that user. Two equivalent
-routes are provided: one cancellation-free quadrature of the constructive
-integrand (destructive events are one minus it) and direct averaging of the
-conditional PEP against the order-statistics density; the alpha = 1
-(Laplacian) and alpha = 2 (Gaussian) closed forms serve as independent
-cross-checks.
+routes are provided: the cancellation-free constructive integrand,
+summed as its high-SNR series where that converges and integrated by one
+quadrature elsewhere (destructive events are one minus it), and direct
+averaging of the conditional PEP against the order-statistics density by
+quadrature; the alpha = 1 (Laplacian) and alpha = 2 (Gaussian) closed forms
+serve as independent cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -55,9 +57,9 @@ class NumericFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class PepResult:
-    """Analytic PEP, the route that produced it and, for the quadrature
-    routes, the engine's absolute error estimate scaled like value (None for
-    closed forms)."""
+    """Analytic PEP, the method that produced it and its absolute error
+    estimate, scaled like value: the engine's for the quadrature routes, the
+    series' for "series_high", None for closed forms."""
 
     value: float
     method: str
@@ -240,18 +242,121 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
     )
 
 
+# the high-SNR series is taken where its error estimate is at most this
+# fraction of its sum, and declined once it has not got there in
+# _SERIES_MAX_TERMS terms
+_SERIES_REL_TOL = 1e-14
+_SERIES_MAX_TERMS = 30
+_UNIT_ROUNDOFF = 2.0**-53
+# math.gamma overflows from 171.62
+_GAMMA_MAX_ARG = 171.0
+# relative roundings of the series' factors in units of _UNIT_ROUNDOFF,
+# besides what math.gamma makes of its argument's rounding: each math.gamma
+# value is within 7.5 units (measured against mpmath), and each of the few
+# other operations within one. The first term and each ratio of consecutive
+# terms have two gammas and about five operations, the first term's power
+# l more.
+_FIRST_TERM_ROUNDINGS = 20
+_RATIO_ROUNDINGS = 20
+
+
+def _gamma_condition(x: float) -> float:
+    """Bound on |x psi(x)|, by which Gamma(x) multiplies a relative change of
+    x > 0, from log x - 1/x < psi(x) < log x."""
+    return x * abs(math.log(x)) + 1.0
+
+
+def _constructive_series(L: int, l: int, alpha: float, kappa: float):
+    """The constructive PEP at decay scale kappa by its high-SNR series, as
+    (value, error estimate), or None where the series is declined.
+
+    In s = w^2 / 2 the integrand's B(w) of _constructive_value is
+    sum_{k >= l} N_k s^k / k! with the integers
+    N_k = sum_{i < l} C(l-1, i) (-1)^i (-delta_i)^(k-1), delta_i = L - l + 1 + i
+    (N_l = (l-1)!, and the signs alternate). Integrated term by term
+    (Watson's lemma),
+    PEP = A_l / (2 Gamma(1/a)) sum_{k >= l} N_k / k! Gamma((2k+1)/a) (2 kappa^2)^-k;
+    it converges for alpha > 2 and is asymptotic below. The first term,
+    A_l Gamma((2l+1)/a) / (2 l Gamma(1/a)) (2 kappa^2)^-l, makes the
+    diversity order l at every alpha.
+
+    The series is taken only where each term is smaller in magnitude than
+    the one before and the first omitted term plus a rounding bound is at
+    most _SERIES_REL_TOL of the sum; that total is the error estimate. The
+    terms are summed in units of the first, each the one before times their
+    ratio in doubles, which is inf at a kappa so small that 2 kappa^2
+    underflows: the series is declined there at its second term, and where
+    a gamma would overflow, with no exception at any kappa. The rounding
+    bound gives each term its factors' roundings, each math.gamma's with the
+    amplification of its argument's. At kappa = inf every term is 0.0, the
+    limit, returned exactly.
+    """
+    if kappa == math.inf:
+        return 0.0, 0.0
+    x = (2 * l + 1) / alpha
+    if not x < _GAMMA_MAX_ARG:
+        return None
+    inv_y = 0.5 / kappa / kappa  # 1 / (2 kappa^2)
+    deltas = [L - l + 1 + i for i in range(l)]
+    weights = [math.comb(l - 1, i) * (-1) ** i for i in range(l)]
+    powers = [(-d) ** l for d in deltas]  # (-delta_i)^(k-1) at k = l + 1
+    n_prev, gamma_prev, cond_prev = math.factorial(l - 1), math.gamma(x), _gamma_condition(x)
+    gamma_first = gamma_prev
+    # the current term relative to the first, that term's relative rounding
+    # and the sum's absolute one, both in units of the roundoff
+    rho = 1.0
+    term_roundings = _FIRST_TERM_ROUNDINGS + l + 0.5 * (cond_prev + _gamma_condition(1.0 / alpha))
+    roundings = term_roundings
+    total = 1.0
+    for k in range(l + 1, l + 1 + _SERIES_MAX_TERMS):
+        x = (2 * k + 1) / alpha
+        if not x < _GAMMA_MAX_ARG:
+            return None
+        n_k = sum(w * p for w, p in zip(weights, powers))
+        powers = [-d * p for d, p in zip(deltas, powers)]
+        gamma_k, cond_k = math.gamma(x), _gamma_condition(x)
+        ratio = n_k / n_prev / k * (gamma_k / gamma_prev) * inv_y
+        if not abs(ratio) < 1.0:
+            return None  # the terms rise: the series gets no closer
+        rho *= ratio
+        term_roundings += _RATIO_ROUNDINGS + 0.5 * (cond_k + cond_prev)
+        error = abs(rho) + _UNIT_ROUNDOFF * roundings
+        if error <= _SERIES_REL_TOL * total:
+            break
+        total += rho
+        roundings += abs(rho) * term_roundings + 1.0  # the term and the addition
+        n_prev, gamma_prev, cond_prev = n_k, gamma_k, cond_k
+    else:
+        return None
+    power = inv_y**l
+    a_l = _order_coeff(L, l)
+    first = a_l / (2 * l) * (gamma_first / math.gamma(1.0 / alpha)) * power
+    # a subnormal factor would leave the value short of its relative accuracy
+    if not (power >= sys.float_info.min and first >= sys.float_info.min):
+        return None
+    return first * total, first * error
+
+
 def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
-    """Unconditional PEP by one quadrature of the constructive integrand.
+    """Unconditional PEP of the constructive integrand: by its high-SNR
+    series where that converges (method "series_high"), else by one
+    quadrature (method "quadrature").
 
     The destructive (mu = 0) conditional PEP 1/2 (1 + P(1/a, z)) is
     1 - 1/2 Q(1/a, z), one minus the constructive one at the same kappa, and
     the ordered-gain density integrates to one; so a destructive event is one
-    minus the constructive value.
+    minus the constructive value, with the same error estimate.
     """
     _check_noise(event.config, model.alpha, model.sigma2)
     kappa = _kappa(event, model.lambda0)
-    value, error = _constructive_value(event, model.alpha, kappa)
-    return PepResult(value=value, method="quadrature", error_estimate=error)
+    series = _constructive_series(event.L, event.l, model.alpha, kappa)
+    if series is None:
+        value, error = _constructive_value(event, model.alpha, kappa)
+        return PepResult(value=value, method="quadrature", error_estimate=error)
+    value, error = series
+    return PepResult(
+        value=value if event.mu else 1.0 - value, method="series_high", error_estimate=error
+    )
 
 
 def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
@@ -264,6 +369,10 @@ def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     """
     _check_noise(event.config, model.alpha, model.sigma2)
     kappa = _kappa(event, model.lambda0)
+    if kappa == math.inf:
+        # (kappa w)^alpha is inf at every gain w > 0: the conditional PEP is
+        # its limit there, as in _conditional, and so is its average
+        return PepResult(value=float(not event.mu), method="direct", error_estimate=0.0)
     pep_at = _conditional(event, model.alpha, kappa)
     L, l = event.L, event.l
 

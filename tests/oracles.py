@@ -78,9 +78,11 @@ def t1_t2_sum(event: ErrorEvent, alpha: float, kappa: float) -> float:
 MP_DPS = 30
 
 
-def pep_mp(event: ErrorEvent) -> float:
+def pep_mp(event: ErrorEvent, kappa: float | None = None) -> float:
     """PEP of a constructive (mu = 1) event in mpmath at MP_DPS digits,
-    written from the model.
+    written from the model. With kappa given, the constructive PEP of the
+    event's user at that decay scale instead of the event's own, for an
+    event of either mu: the PEP depends on the event only through kappa.
 
     At gain w, user l decides x_check for x_l when n sign(d) <= w upsilon /
     (2 |d|), d = sqrt(a_l gamma_bar) delta_check, n GGD noise of shape alpha
@@ -97,15 +99,18 @@ def pep_mp(event: ErrorEvent) -> float:
     to 1/2, and 1 - F_l = sum_{j < l} C(L, j) F^j (1 - F)^(L - j) carries
     exp(-w^2 / 2), so the remaining integral lives on w ~ 1.
     """
-    if not event.mu:
+    if not event.mu and kappa is None:
         raise DomainError("pep_mp evaluates constructive (mu = 1) events")
     L, l = event.L, event.l
     with mp.workdps(MP_DPS):
         alpha = mp.mpf(event.config.noise_alpha)
-        lam = mp.sqrt(2 * mp.gamma(3 / alpha) / mp.gamma(1 / alpha))
-        a_l = mp.mpf(event.config.a[l - 1])
-        d = mp.sqrt(a_l * mp.mpf(event.gamma_bar)) * abs(mp.mpf(event.delta_check))
-        kappa = lam * abs(mp.mpf(event.upsilon)) / (2 * d)
+        if kappa is None:
+            lam = mp.sqrt(2 * mp.gamma(3 / alpha) / mp.gamma(1 / alpha))
+            a_l = mp.mpf(event.config.a[l - 1])
+            d = mp.sqrt(a_l * mp.mpf(event.gamma_bar)) * abs(mp.mpf(event.delta_check))
+            kappa = lam * abs(mp.mpf(event.upsilon)) / (2 * d)
+        else:
+            kappa = mp.mpf(kappa)
         low_snr = kappa < 1
         js = range(l) if low_snr else range(l, L + 1)
         terms = [(math.comb(L, j), j) for j in js]
@@ -115,10 +120,20 @@ def pep_mp(event: ErrorEvent) -> float:
             part = sum(c * big_f**j * (1 - big_f) ** (L - j) for c, j in terms)
             return mp.exp(-((kappa * w) ** alpha)) * part
 
-        # the gain density varies on w ~ 1 and the tail on w ~ 1 / kappa;
-        # mpmath's error target is absolute, so the integrand is rescaled to
-        # order one first
-        breaks = sorted({s * u for s in (0.5, 1, 2) for u in (1, 1 / kappa)})
+        # the gain density varies on w ~ 1 and the tail on w ~ 1 / kappa; for
+        # kappa >= 1 the tail's exp(-(kappa w)^alpha) is followed on a
+        # doubling ladder down to exp(-800), so that no panel holds a decay
+        # over many of its own widths (without it mpmath's estimate missed
+        # its target from about 130 dB). mpmath's error target is absolute,
+        # so the integrand is rescaled to order one first
+        breaks = {s * u for s in (0.5, 1, 2) for u in (1, 1 / kappa)}
+        if not low_snr:
+            top = mp.mpf(800) ** (1 / alpha) / kappa
+            rung = 1 / (2 * kappa)
+            while rung < top:
+                breaks.add(rung)
+                rung *= 2
+        breaks = sorted(breaks)
         scale = max(integrand(b) * b for b in breaks)
         value, error = mp.quad(lambda w: integrand(w) / scale, [0] + breaks + [mp.inf], error=True)
         factor = alpha * kappa / (2 * mp.gamma(1 / alpha)) * scale

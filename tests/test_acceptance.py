@@ -57,14 +57,14 @@ def test_criterion_1_closed_form_consistency():
                     worst = max(worst, abs(closed - exact) / exact)
     passed = worst <= 1e-6
     record_criterion(
-        1, passed, f"closed form vs quadrature, worst rel err {worst:.3e} (<= 1e-6)"
+        1, passed, f"closed form vs pep_exact, worst rel err {worst:.3e} (<= 1e-6)"
     )
     assert passed
 
 
 def test_criterion_2_path_equivalence():
-    """Quadrature of the constructive integrand equals direct conditional-PEP
-    averaging."""
+    """pep_exact (the constructive integrand's series or quadrature) equals
+    direct conditional-PEP averaging."""
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         model = GGNoiseModel.normalized(alpha)
@@ -79,7 +79,7 @@ def test_criterion_2_path_equivalence():
     record_criterion(
         2,
         passed,
-        f"quadrature vs direct averaging, worst rel err {worst:.3e} (<= 1e-8)",
+        f"pep_exact vs direct averaging, worst rel err {worst:.3e} (<= 1e-8)",
     )
     assert passed
 

@@ -219,3 +219,53 @@ class TestSourceDigest:
         assert bench_pairs.revision(root) == {
             "commit": None, "modified": None, "source_sha256": bench_pairs.source_digest(root)
         }
+
+
+class TestSeveralWorkloads:
+    BENCH = {
+        "run_seconds": 25,
+        "workloads": [{"name": "pep_curves"}, {"name": "union_bound"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}],
+    }
+
+    def test_workload_given_once_per_workload(self, bench_pairs):
+        argv = ["p", "c", "--workload", "union_bound", "--workload", "pep_curves",
+                "--pairs", "2", "--seed", "5", "--pr", "9"]
+        assert bench_pairs.parse_args(argv, self.BENCH).workload == ["union_bound", "pep_curves"]
+
+    @pytest.mark.parametrize("names", [["nope"], ["pep_curves", "pep_curves"]])
+    def test_unknown_or_repeated_workload_rejected(self, bench_pairs, names):
+        argv = ["p", "c", "--pairs", "2", "--seed", "5", "--pr", "9"]
+        for name in names:
+            argv += ["--workload", name]
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(argv, self.BENCH)
+
+    def test_one_file_holds_every_workloads_pairs(self, bench_pairs, tmp_path):
+        # a stand-in for run_once: the change is 1 s faster on union_bound
+        # only, and every call is recorded in the order it is made
+        calls = []
+
+        def run(checkout, workload, seed, seconds, trace=0):
+            calls.append((checkout.name, workload, seed, trace))
+            wall = 3.0 - (checkout.name == "change" and workload == "union_bound")
+            return {"correct": True, "attempted": 120, "failed": 0,
+                    "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+        checkouts = {side: tmp_path / side for side in ("parent", "change")}
+        out = bench_pairs.collect(run, checkouts, ["union_bound", "pep_curves"], [5, 6], self.BENCH)
+        assert list(out["workloads"]) == ["union_bound", "pep_curves"]
+        assert out["seeds"] == [5, 6] and out["first"] == ["parent", "change"]
+        union, curves = out["workloads"]["union_bound"], out["workloads"]["pep_curves"]
+        assert union["metrics"]["wall_s"]["change_pairs"] == {"better": 2, "worse": 0, "tied": 0}
+        assert curves["metrics"]["wall_s"]["change_pairs"] == {"better": 0, "worse": 0, "tied": 2}
+        assert union["traced"]["metrics"]["wall_s"] == {"unit": "s", "parent": 3.0, "change": 2.0}
+        assert union["runs"]["change"] == [{"correct": True, "attempted": 120, "failed": 0}] * 2
+        # each workload's pairs alternate which side goes first, then trace
+        assert calls[:6] == [
+            ("parent", "union_bound", 5, 0), ("change", "union_bound", 5, 0),
+            ("change", "union_bound", 6, 0), ("parent", "union_bound", 6, 0),
+            ("parent", "union_bound", 5, 1), ("change", "union_bound", 5, 1),
+        ]
+        assert [c[1] for c in calls[6:]] == ["pep_curves"] * 6
+        json.dumps(out)  # what main writes

@@ -9,7 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noma_ggn.specfun
-from noma_ggn import GGNoiseModel, canonical_event, estimate_pep_mc, pep_direct, simulate_ber
+from noma_ggn import (
+    GGNoiseModel,
+    canonical_event,
+    estimate_pep_mc,
+    pep_direct,
+    pep_exact,
+    simulate_ber,
+)
 from noma_ggn.cli import (
     CSV_HEADER,
     METRICS,
@@ -304,6 +311,17 @@ class TestMain:
         for row in rows:
             assert 0.0 < float(row.split(",")[4]) <= 0.5
 
+    def test_overflowing_decay_scale_prints_the_limit(self, tmp_path, capsys):
+        # kappa overflows to inf at this alpha and SNR; the PEP there is 0.0
+        # in double, where the quadrature was once handed a scale of 0.0 (exit 2)
+        cfg = tmp_path / "kappa.cfg"
+        cfg.write_text("alpha=0.015\nsnr_db=2900\nmetrics=pep_analytic\n")
+        assert main(["pep", str(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[:5] for row in rows] == [
+            ["2900", str(l), "pep_analytic", "0.015", "0"] for l in (1, 2, 3)
+        ]
+
     def test_overflowing_event_exit_code(self, tmp_path, capsys):
         # 10^308.1 is a finite SNR, but X^2 and zeta^2 of its events overflow
         cfg = tmp_path / "glare.cfg"
@@ -313,9 +331,10 @@ class TestMain:
         assert "configuration error" in err and "overflows" in err
 
     def test_quadrature_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # at 0 dB pep_exact runs its quadrature for every user
         monkeypatch.setattr(noma_ggn.specfun, "_MAX_SUBDIVISIONS", 0)
         cfg = tmp_path / "budget.cfg"
-        cfg.write_text("snr_db=20\nmetrics=pep_analytic\n")
+        cfg.write_text("snr_db=0\nmetrics=pep_analytic\n")
         assert main(["pep", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "quadrature route" in err and "best estimate" in err
@@ -337,6 +356,19 @@ class TestMain:
         # every check line ends with its wall time
         for line in out.splitlines():
             assert line.startswith("PASS ") and float(line.rsplit(" time=", 1)[1][:-2]) > 0.0
+
+    def test_selftest_names_the_method_pep_exact_took(self, capsys):
+        main(["selftest"])
+        methods = set()
+        for line in capsys.readouterr().out.splitlines():
+            fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
+            method = line.split()[4].split("-vs-")[0]
+            alpha, snr_db = float(fields["alpha"]), float(fields["snr"][:-2])
+            params = parse_config(f"alpha={alpha}\nsnr_db={snr_db}")
+            event = canonical_event(params.system_config(10.0 ** (snr_db / 10.0)), int(fields["user"]))
+            assert method == pep_exact(event, GGNoiseModel.normalized(alpha)).method, line
+            methods.add(method)
+        assert methods == {"quadrature", "series_high"}
 
 
 @st.composite

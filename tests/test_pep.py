@@ -30,7 +30,13 @@ from noma_ggn import (
     union_bound,
 )
 from noma_ggn.channel import ordered_pdf
-from noma_ggn.pep import _kappa, _laplace_tail, _underflow_arg
+from noma_ggn.pep import (
+    _constructive_series,
+    _constructive_value,
+    _kappa,
+    _laplace_tail,
+    _underflow_arg,
+)
 from noma_ggn.specfun import (
     DomainError,
     QuadratureError,
@@ -248,8 +254,10 @@ def canonical_and_destructive(cfg, l):
 
 
 def engine_inputs(monkeypatch, ev, model, kappa=None):
-    """(integrand, scale, end) that pep_exact, then pep_direct, hand the
-    engine for ev, at decay scale kappa where given."""
+    """(integrand, scale, end) that pep_exact's quadrature, then pep_direct,
+    hand the engine for ev, at decay scale kappa where given. pep_exact's
+    comes from its quadrature kernel, which it runs wherever it declines its
+    high-SNR series."""
     seen = []
 
     def capture(f, scale, *, end):
@@ -260,7 +268,7 @@ def engine_inputs(monkeypatch, ev, model, kappa=None):
         if kappa is not None:
             patch.setattr(noma_ggn.pep, "_kappa", lambda event, lam0: kappa)
         patch.setattr(noma_ggn.pep, "integrate_semi_infinite", capture)
-        pep_exact(ev, model)
+        _constructive_value(ev, model.alpha, noma_ggn.pep._kappa(ev, model.lambda0))
         pep_direct(ev, model)
     return seen
 
@@ -382,6 +390,101 @@ class TestConstructiveTrim:
             assert upper_incomplete_gamma_reg(1.0 / alpha, t) == 0.0
 
 
+@st.composite
+def series_events(draw):
+    """(event, model) over 1-6 users, any user, alpha 0.3-8, -10 to 300 dB,
+    an event of the drawn mu where the user has one."""
+    L = draw(st.integers(1, 6))
+    l = draw(st.integers(1, L))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=L, max_size=L))
+    alpha = draw(st.floats(0.3, 8.0))
+    cfg = split_config(weights, draw(st.floats(-10.0, 300.0)), alpha)
+    mu = draw(st.integers(0, 1))
+    events = [ev for ev, _ in enumerate_error_events(cfg, l)]
+    events = [ev for ev in events if ev.mu == mu] or events
+    return events[draw(st.integers(0, len(events) - 1))], GGNoiseModel.normalized(alpha)
+
+
+def series_example(weights, snr_db, alpha, l, mu):
+    """A pinned example of series_events: user l's first event of that mu."""
+    cfg = split_config(weights, snr_db, alpha)
+    ev = next(ev for ev, _ in enumerate_error_events(cfg, l) if ev.mu == mu)
+    return example(drawn=(ev, GGNoiseModel.normalized(alpha)))
+
+
+SIX_USERS = (0.4, 0.25, 0.15, 0.1, 0.06, 0.04)
+
+
+class TestHighSnrSeries:
+    # derandomized: the same examples, and about 1 s, in every run; the
+    # pinned ones take the series: the first is where pep_mp's quadrature
+    # missed its target before it followed the tail on a doubling ladder
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(drawn=series_events())
+    @series_example((1.0,), 139.0, 2.0, 1, 1)
+    @series_example(SIX_USERS, 60.0, 5.0, 4, 1)
+    @series_example(SIX_USERS, 200.0, 0.7, 6, 0)
+    def test_series_within_its_estimate_of_mpmath(self, drawn):
+        # wherever pep_exact takes its series, the value is within its error
+        # estimate of the PEP at the same decay scale, and within 1e-13 of
+        # the PEP at the event's own (kappa in double is rounded, and the PEP
+        # goes as kappa^(-2l)); a destructive value 1 - c rounds by up to
+        # half an ulp of 1 besides
+        ev, model = drawn
+        result = pep_exact(ev, model)
+        if result.method != "series_high":
+            return
+        kappa = _kappa(ev, model.lambda0)
+        if ev.mu:
+            at_kappa, own = pep_mp(ev, kappa), pep_mp(ev)
+            rounding = 0.0
+        else:
+            at_kappa = own = 1.0 - pep_mp(ev, kappa)
+            rounding = 2.0**-53
+        assert abs(result.value - at_kappa) <= result.error_estimate + rounding
+        assert result.value == pytest.approx(own, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "alpha,snr_db", [(0.5, 0.0), (0.5, -1000.0), (2.0, -1000.0), (8.0, -1000.0)]
+    )
+    def test_declined_where_it_cannot_converge(self, alpha, snr_db):
+        # at 0 dB and alpha = 0.5 the asymptotic series' terms rise before
+        # they reach the tolerance; at -1000 dB 2 kappa^2 ~ 1e-100 and the
+        # second term is ~1e100 times the first
+        model = GGNoiseModel.normalized(alpha)
+        cfg = three_user(db(snr_db), alpha)
+        for l in (1, 2, 3):
+            for ev in canonical_and_destructive(cfg, l):
+                assert pep_exact(ev, model).method == "quadrature"
+                kappa = _kappa(ev, model.lambda0)
+                assert _constructive_series(3, l, alpha, kappa) is None
+        # 2 kappa^2 underflows here: the terms' ratio is inf, not an exception
+        assert _constructive_series(3, 2, alpha, 1e-300) is None
+
+    def test_overflowing_kappa_is_the_limit_by_both_routes(self):
+        model = GGNoiseModel.normalized(0.015)
+        cfg = SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=db(2900.0), noise_alpha=0.015)
+        for l in (1, 2, 3):
+            for ev in canonical_and_destructive(cfg, l):
+                assert _kappa(ev, model.lambda0) == math.inf
+                limit = float(not ev.mu)
+                assert pep_exact(ev, model) == PepResult(limit, "series_high", 0.0)
+                assert pep_direct(ev, model) == PepResult(limit, "direct", 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
+    def test_diversity_order_is_the_user_index(self, alpha):
+        # the series' first term goes as (2 kappa^2)^-l, kappa^2 as the SNR:
+        # user l's diversity order is l at every alpha (the paper's claim)
+        model = GGNoiseModel.normalized(alpha)
+        for l in (1, 2, 3):
+            curve = {}
+            for snr_db in (100.0, 120.0):
+                result = pep_exact(canonical_event(three_user(db(snr_db), alpha), l), model)
+                assert result.method == "series_high"
+                curve[snr_db] = result.value
+            assert diversity_order(curve, (100.0, 120.0)).d_s == pytest.approx(l, rel=0.0, abs=1e-6)
+
+
 class TestQuadratureDiagnostics:
     @pytest.mark.parametrize("snr_db", [-10.0, 20.0, 40.0])
     def test_error_estimate_meets_engine_tolerance(self, snr_db):
@@ -401,17 +504,21 @@ class TestQuadratureDiagnostics:
 
     @pytest.mark.parametrize("route", [pep_exact, pep_direct], ids=["exact", "direct"])
     def test_unconverged_quadrature_names_event_and_best_estimate(self, monkeypatch, route):
+        # at 0 dB pep_exact declines its high-SNR series for both events and
+        # runs the quadrature
         model = GGNoiseModel.normalized(2.0)
-        cfg = three_user(db(20.0))
+        cfg = three_user(db(0.0))
+        method = "quadrature" if route is pep_exact else "direct"
         for ev in canonical_and_destructive(cfg, 2):
-            value = route(ev, model).value
+            result = route(ev, model)
+            assert result.method == method
+            value = result.value
             with monkeypatch.context() as patch:
                 patch.setattr(noma_ggn.specfun, "_MAX_SUBDIVISIONS", 0)
                 with pytest.raises(QuadratureError) as info:
                     route(ev, model)
             err = info.value
             kappa = _kappa(ev, model.lambda0)
-            method = "quadrature" if route is pep_exact else "direct"
             for part in (
                 f"{method} route", "user 2", f"gamma_bar {cfg.gamma_bar!r}",
                 "alpha 2.0", f"mu {ev.mu}", f"kappa {kappa!r}",

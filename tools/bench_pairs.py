@@ -1,28 +1,29 @@
-"""Alternating parent/change runs of one perfbench workload, summarised.
+"""Alternating parent/change runs of perfbench workloads, summarised.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload cli_sweeps \\
-        --pairs 10 --seed 700 --pr N
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload union_bound \\
+        --workload pep_curves --pairs 10 --seed 700 --pr N
 
 PARENT_DIR and CHANGE_DIR are source checkouts (each with its own
-``perfbench/`` and ``src/``). Pair i runs ``python3 perfbench/run.py
---workload W --seed SEED+i --seconds T --trace 0`` once in each directory,
-one after the other; the parent goes first in even pairs and the change in
-odd ones, so a drift of the host's speed over a session favours neither
-side. T is ``run_seconds`` of this checkout's ``BENCHMARK.json``, so both
-sides run as long as the benchmark does. The benchmark itself is neither
-changed nor imported.
+``perfbench/`` and ``src/``). ``--workload`` is given once per workload,
+and the workloads run one after the other on the same seeds. For each, pair
+i runs ``python3 perfbench/run.py --workload W --seed SEED+i --seconds T
+--trace 0`` once in each directory, one after the other; the parent goes
+first in even pairs and the change in odd ones, so a drift of the host's
+speed over a session favours neither side. T is ``run_seconds`` of this
+checkout's ``BENCHMARK.json``, so both sides run as long as the benchmark
+does. The benchmark itself is neither changed nor imported.
 
-Writes ``BENCH_<pr>.json`` at the root of this checkout: for every
-end-to-end metric each side's runs, median and quartiles, the number of
-pairs in which the change was better, worse or tied, and whether the
-change's median held the metric's bound; the seeds, which side
-ran first in each pair, each side's git commit (where it is a work tree)
-and a SHA-256 of its ``src/`` and ``perfbench/`` files, every run's
-correctness and operation counts, the host, its CPU count and the Python
-and numpy versions. After the pairs it runs each side once more with
-``--trace 1`` at the first pair's seed and writes both sides' per-layer
-metrics (``raw.*`` included) under ``traced``. Last it prints one verdict
-line per end-to-end metric to stderr.
+Writes one ``BENCH_<pr>.json`` at the root of this checkout. Under
+``workloads``, for each workload: every end-to-end metric's runs, median
+and quartiles on each side, the number of pairs in which the change was
+better, worse or tied, and whether the change's median held the metric's
+bound; every run's correctness and operation counts; and, from one more
+run of each side with ``--trace 1`` at the first pair's seed, both sides'
+per-layer metrics (``raw.*`` included) under ``traced``. Beside it: the
+seeds, which side ran first in each pair, each side's git commit (where it
+is a work tree) and a SHA-256 of its ``src/`` and ``perfbench/`` files, the
+host, its CPU count and the Python and numpy versions. Last it prints one
+verdict line per workload and end-to-end metric to stderr.
 
 The tool stops on any run the benchmark would refuse: one that exits
 non-zero, prints no result, or whose last line is not strict JSON (no
@@ -189,62 +190,83 @@ def side_by_side(results: dict) -> dict:
     return table
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="source checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="source checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
-    args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.workload not in {w["name"] for w in bench["workloads"]}:
-        parser.error(f"unknown workload {args.workload!r}")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seeds = [args.seed + i for i in range(args.pairs)]
+def bench_workload(run, checkouts: dict, workload: str, seeds: list, bench: dict) -> dict:
+    """One workload's alternating pairs and traced runs, summarised; run is
+    run_once or a stand-in with its signature."""
     runs = {side: [] for side in SIDES}
-    first = []
     for i, seed in enumerate(seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        first.append(order[0])
-        for side in order:
-            result = run_once(checkouts[side], args.workload, seed, bench["run_seconds"])
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            result = run(checkouts[side], workload, seed, bench["run_seconds"])
             runs[side].append(result)
-            log(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
+            log(f"{workload} pair {i + 1}/{len(seeds)} seed {seed} {side}: "
                 + ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()))
         try:
             check_counts(runs["parent"][-1], runs["change"][-1])
         except ValueError as exc:
-            raise SystemExit(f"pair {i + 1} seed {seed}: {exc}")
-    traced = {side: run_once(checkouts[side], args.workload, seeds[0], bench["run_seconds"], 1)
+            raise SystemExit(f"{workload} pair {i + 1} seed {seed}: {exc}")
+    traced = {side: run(checkouts[side], workload, seeds[0], bench["run_seconds"], 1)
               for side in SIDES}
     try:
         check_counts(traced["parent"], traced["change"])
     except ValueError as exc:
-        raise SystemExit(f"traced runs seed {seeds[0]}: {exc}")
-    out = {
-        "workload": args.workload,
-        "seconds": bench["run_seconds"],
-        "seeds": seeds,
-        "first": first,
-        "sides": {side: revision(checkouts[side]) for side in SIDES},
+        raise SystemExit(f"{workload} traced runs seed {seeds[0]}: {exc}")
+    return {
         "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in runs[side]]
                  for side in SIDES},
         "metrics": summary(runs, bench["end_to_end"]),
         "traced": {"seed": seeds[0], "metrics": side_by_side(traced)},
+    }
+
+
+def collect(run, checkouts: dict, workloads: list, seeds: list, bench: dict) -> dict:
+    """What BENCH_<pr>.json holds: every workload's bench_workload, one after
+    the other on the same seeds, and what the runs ran on."""
+    return {
+        "seconds": bench["run_seconds"],
+        "seeds": seeds,
+        "first": [SIDES[i % 2] for i in range(len(seeds))],
+        "sides": {side: revision(checkouts[side]) for side in SIDES},
+        "workloads": {w: bench_workload(run, checkouts, w, seeds, bench) for w in workloads},
         "host": platform.node(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def parse_args(argv, bench: dict) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="source checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="source checkout of the change")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload to pair; give it once per workload")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    known = {w["name"] for w in bench["workloads"]}
+    for workload in args.workload:
+        if workload not in known:
+            parser.error(f"unknown workload {workload!r}")
+    if len(set(args.workload)) != len(args.workload):
+        parser.error("a workload is given more than once")
+    return args
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    args = parse_args(argv, bench)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seeds = [args.seed + i for i in range(args.pairs)]
+    out = collect(run_once, checkouts, args.workload, seeds, bench)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     log(f"wrote {path}")
-    for name, entry in out["metrics"].items():
-        log(verdict(name, entry))
+    for workload, entry in out["workloads"].items():
+        for name, metric in entry["metrics"].items():
+            log(f"{workload} " + verdict(name, metric))
     return 0
 
 
