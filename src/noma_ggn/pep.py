@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import _order_coeff, ordered_pdf
+from .channel import _order_coeff
 from .ggd import GGNoiseModel, lambda0
 from .noma import (
     ErrorEvent,
@@ -32,10 +32,14 @@ from .noma import (
 from .specfun import (
     DomainError,
     QuadratureError,
+    _incomplete_gamma_kernels,
     integrate_semi_infinite,
-    lower_incomplete_gamma_reg,
-    upper_incomplete_gamma_reg,
 )
+
+# unused here, and kept importable: perfbench/tracing.py wraps these names in
+# this module to count their calls, which the inlined integrands make 0
+from .channel import ordered_pdf  # noqa: F401
+from .specfun import lower_incomplete_gamma_reg, upper_incomplete_gamma_reg  # noqa: F401
 
 __all__ = [
     "PepResult",
@@ -59,7 +63,8 @@ class NumericFailure(RuntimeError):
 class PepResult:
     """Analytic PEP, the method that produced it and its absolute error
     estimate, scaled like value: the engine's for the quadrature routes, the
-    series' for "series_high", None for closed forms."""
+    series' for "series_high" (a destructive pep_exact value's adds the
+    rounding of its 1 - c), None for closed forms."""
 
     value: float
     method: str
@@ -99,35 +104,45 @@ def _kappa(event: ErrorEvent, lam0: float) -> float:
     )
 
 
-def _conditional(event: ErrorEvent, alpha: float, kappa: float) -> Callable[[float], float]:
-    """The event's conditional PEP as a function of the gain w >= 0, for
-    noise of shape alpha and the event's decay scale kappa.
+def _conditional(mu: int, alpha: float, kappa: float, L: int = 0, l: int = 0):
+    """The conditional PEP of an event with that mu as a function of the
+    gain w >= 0, for noise of shape alpha and the event's decay scale kappa;
+    with L > 0, times the density of the l-th smallest of L gains at w:
+    pep_direct's integrand.
 
-    Equals [Gamma(1/a) + (-1)^mu * gamma(1/a, (kappa w)^a)] / (2 Gamma(1/a));
-    the constructive branch is evaluated through the upper regularized gamma
-    so deep tails keep relative accuracy. Where (kappa w)^a overflows a double
-    the incomplete gammas are exactly 0 and 1 there, so the limits are
-    returned.
+    The PEP equals [Gamma(1/a) + (-1)^mu * gamma(1/a, (kappa w)^a)] /
+    (2 Gamma(1/a)); the constructive branch is evaluated through the upper
+    regularized gamma so deep tails keep relative accuracy. Where
+    (kappa w)^a overflows a double the incomplete gammas are exactly 0 and
+    1 there, so the limit is taken. The incomplete gamma's branch and
+    constants and the density's A_l, L - l + 1 and l - 1 are fixed here,
+    and a node runs the operations of
+    conditional_pep(event, model, w) * ordered_pdf(L, l, w) in their order.
     """
-    inv_a = 1.0 / alpha
+    lower, upper = _incomplete_gamma_kernels(1.0 / alpha)
+    limit = 0.0 if mu else 1.0
     inf = math.inf
-    if event.mu:
+    exp, expm1 = math.exp, math.expm1
+    if L:
+        a_l = _order_coeff(L, l)
+        neg_m, k = -(L - l + 1), l - 1
 
-        def pep_at(w: float) -> float:
-            try:
-                z = (kappa * w) ** alpha
-            except OverflowError:
-                return 0.0
-            return 0.0 if z == inf else 0.5 * upper_incomplete_gamma_reg(inv_a, z)
-
-    else:
-
-        def pep_at(w: float) -> float:
-            try:
-                z = (kappa * w) ** alpha
-            except OverflowError:
-                return 1.0
-            return 1.0 if z == inf else 0.5 * (1.0 + lower_incomplete_gamma_reg(inv_a, z))
+    def pep_at(w: float) -> float:
+        try:
+            z = (kappa * w) ** alpha
+        except OverflowError:
+            pep = limit
+        else:
+            if z == inf:
+                pep = limit
+            elif mu:
+                pep = 0.5 * upper(z)
+            else:
+                pep = 0.5 * (1.0 + lower(z))
+        if not L:
+            return pep
+        half_w2 = 0.5 * w * w
+        return pep * (a_l * w * exp(neg_m * half_w2) * (-expm1(-half_w2)) ** k)
 
     return pep_at
 
@@ -138,7 +153,7 @@ def conditional_pep(event: ErrorEvent, model: GGNoiseModel, h: float) -> float:
     _check_noise(event.config, model.alpha, model.sigma2)
     if not h >= 0.0:
         raise DomainError(f"gain must be >= 0, got h={h!r}")
-    return _conditional(event, model.alpha, _kappa(event, model.lambda0))(h)
+    return _conditional(event.mu, model.alpha, _kappa(event, model.lambda0))(h)
 
 
 # exp(-z) is 0.0 in double from z = 745.1332...
@@ -168,6 +183,20 @@ def _constructive_end(alpha: float, kappa: float) -> float:
     return _underflow_arg(alpha) ** (1.0 / alpha) / kappa
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _one_minus(value: float, error: float) -> tuple:
+    """A destructive PEP from the constructive value and its error
+    estimate: (1 - value, error plus the rounding of 1 - value).
+
+    Rounded to nearest, a result of magnitude at most 1 moves by at most
+    the unit roundoff 2^-53, which the estimate counts; 1 - 0.0 is exact
+    (the limit at kappa = inf) and adds nothing.
+    """
+    return 1.0 - value, error + (_UNIT_ROUNDOFF if value else 0.0)
+
+
 def _pep_quadrature(
     route: str,
     event: ErrorEvent,
@@ -179,7 +208,8 @@ def _pep_quadrature(
     flip: bool,
 ) -> tuple:
     """factor times the integral of integrand over the gain (one minus that
-    when flip), with the engine's error scaled alike, as (value, error).
+    when flip, as _one_minus), with the engine's error scaled alike, as
+    (value, error).
 
     The integrand is exactly 0.0 from end on and varies on the density's
     scale 1 and the gamma factor's 1 / kappa, the smaller of which is the
@@ -191,9 +221,9 @@ def _pep_quadrature(
     try:
         val, err = integrate_semi_infinite(integrand, min(1.0, 1.0 / kappa), end=end)
     except QuadratureError as exc:
-        best = factor * exc.best_estimate
-        best = 1.0 - best if flip else best
-        error = factor * exc.error_estimate
+        best, error = factor * exc.best_estimate, factor * exc.error_estimate
+        if flip:
+            best, error = _one_minus(best, error)
         raise QuadratureError(
             f"PEP by the {route} route not converged (user {event.l}, gamma_bar "
             f"{event.gamma_bar!r}, alpha {alpha!r}, mu {event.mu}, kappa {kappa!r}): "
@@ -201,8 +231,8 @@ def _pep_quadrature(
             best_estimate=best,
             error_estimate=error,
         ) from exc
-    val = factor * val
-    return (1.0 - val if flip else val), factor * err
+    val, err = factor * val, factor * err
+    return _one_minus(val, err) if flip else (val, err)
 
 
 def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
@@ -221,18 +251,20 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
     m = L - l  # (1-u)^m exponent, a small nonnegative integer
     coeffs = [math.comb(m, j) * (-1.0) ** j / (l + j) for j in range(m + 1)]
 
+    exp, expm1 = math.exp, math.expm1
+
     def integrand(w: float) -> float:
         try:
             z = (kappa * w) ** alpha
         except OverflowError:
             return 0.0  # exp(-z) underflowed long before
-        big_w = -math.expm1(-0.5 * w * w)
+        big_w = -expm1(-0.5 * w * w)
         beta = 0.0
         wp = big_w**l
-        for j in range(m + 1):
-            beta += coeffs[j] * wp
+        for c in coeffs:
+            beta += c * wp
             wp *= big_w
-        return math.exp(-z) * beta
+        return exp(-z) * beta
 
     a_l = _order_coeff(L, l)
     factor = a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa
@@ -247,7 +279,6 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
 # _SERIES_MAX_TERMS terms
 _SERIES_REL_TOL = 1e-14
 _SERIES_MAX_TERMS = 30
-_UNIT_ROUNDOFF = 2.0**-53
 # math.gamma overflows from 171.62
 _GAMMA_MAX_ARG = 171.0
 # relative roundings of the series' factors in units of _UNIT_ROUNDOFF,
@@ -345,7 +376,8 @@ def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     The destructive (mu = 0) conditional PEP 1/2 (1 + P(1/a, z)) is
     1 - 1/2 Q(1/a, z), one minus the constructive one at the same kappa, and
     the ordered-gain density integrates to one; so a destructive event is one
-    minus the constructive value, with the same error estimate.
+    minus the constructive value, its error estimate the constructive one's
+    plus the rounding of that subtraction (_one_minus).
     """
     _check_noise(event.config, model.alpha, model.sigma2)
     kappa = _kappa(event, model.lambda0)
@@ -353,19 +385,19 @@ def pep_exact(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     if series is None:
         value, error = _constructive_value(event, model.alpha, kappa)
         return PepResult(value=value, method="quadrature", error_estimate=error)
-    value, error = series
-    return PepResult(
-        value=value if event.mu else 1.0 - value, method="series_high", error_estimate=error
-    )
+    value, error = series if event.mu else _one_minus(*series)
+    return PepResult(value=value, method="series_high", error_estimate=error)
 
 
 def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
     """Unconditional PEP by direct averaging of the conditional PEP over the
     ordered-gain density. Independent of pep_exact's integrand.
 
-    Everything fixed for the integral (noise check, kappa, the mu branch) is
-    settled before the quadrature runs; a node evaluates the conditional PEP
-    and the density only.
+    Everything fixed for the integral (noise check, kappa, the mu branch,
+    the incomplete gamma's shape branch and constants, the density's
+    coefficients) is settled before the quadrature runs; a node evaluates
+    one fused integrand, the conditional PEP times the density, in one
+    Python frame besides the incomplete gamma's own.
     """
     _check_noise(event.config, model.alpha, model.sigma2)
     kappa = _kappa(event, model.lambda0)
@@ -373,12 +405,8 @@ def pep_direct(event: ErrorEvent, model: GGNoiseModel) -> PepResult:
         # (kappa w)^alpha is inf at every gain w > 0: the conditional PEP is
         # its limit there, as in _conditional, and so is its average
         return PepResult(value=float(not event.mu), method="direct", error_estimate=0.0)
-    pep_at = _conditional(event, model.alpha, kappa)
     L, l = event.L, event.l
-
-    def integrand(w: float) -> float:
-        return pep_at(w) * ordered_pdf(L, l, w)
-
+    integrand = _conditional(event.mu, model.alpha, kappa, L, l)
     # the density's exp(-(L - l + 1) w^2 / 2) is exactly 0.0 from here on
     end = math.sqrt(2.0 * _EXP_UNDERFLOW / (L - l + 1))
     if event.mu:

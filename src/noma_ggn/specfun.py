@@ -60,9 +60,12 @@ def _not_converged(method: str, a: float, x: float) -> DomainError:
     )
 
 
-def _gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a+1)."""
-    log_prefix = a * math.log(x) - x - math.lgamma(a + 1.0)
+def _gamma_series(a: float, x: float, lgamma_a1: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) by power series (0 <= x <
+    a+1), lgamma_a1 = lgamma(a + 1)."""
+    if x == 0.0:
+        return 0.0
+    log_prefix = a * math.log(x) - x - lgamma_a1
     if log_prefix < -745.0:
         return 0.0
     term = 1.0
@@ -80,10 +83,10 @@ def _gamma_series(a: float, x: float) -> float:
     return total * math.exp(log_prefix)
 
 
-def _gamma_cf(a: float, x: float) -> float:
+def _gamma_cf(a: float, x: float, lgamma_a: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) via Lentz's continued
-    fraction (x >= a+1)."""
-    log_prefix = a * math.log(x) - x - math.lgamma(a)
+    fraction (x >= a+1), lgamma_a = lgamma(a)."""
+    log_prefix = a * math.log(x) - x - lgamma_a
     if log_prefix < -745.0:
         return 0.0
     tiny = 1e-300
@@ -116,7 +119,7 @@ def _check_gamma_args(a: float, x: float) -> None:
     """Raise the DomainError for (a, x) outside 0 < a < inf, 0 <= x < inf.
 
     The incomplete gammas call it only once their one chained comparison
-    fails, so a valid call (a quadrature node) runs no check of its own.
+    fails, so a valid call runs no check of its own.
     """
     _check_finite("a", a)
     _check_finite("x", x)
@@ -126,50 +129,78 @@ def _check_gamma_args(a: float, x: float) -> None:
         raise DomainError(f"argument must be nonnegative, got {x!r}")
 
 
+def _incomplete_gamma_kernels(a: float) -> tuple:
+    """(P(a, .), Q(a, .)) as functions of 0 <= x < inf for one shape
+    0 < a < inf, with the shape's branch and constants settled once.
+
+    Elementary at a = 1/2 (erf and erfc of sqrt(x)) and a = 1 (1 - exp(-x)
+    and exp(-x)), and for Q at a = 2 (exp(-x) (1 + x)), DLMF 8.4. Otherwise
+    a power series below x = a + 1 and a Lentz continued fraction above; the
+    split keeps either one well away from its slow regime, and a Q small
+    enough to lose digits in 1 - P is the continued fraction's own value.
+    P(2, x) = 1 - exp(-x) (1 + x) cancels at small x, so P keeps the split
+    at a = 2. No argument is checked.
+    """
+    if a == 0.5:
+
+        def lower(x: float) -> float:
+            return math.erf(math.sqrt(x))
+
+        def upper(x: float) -> float:
+            return math.erfc(math.sqrt(x))
+
+        return lower, upper
+    if a == 1.0:
+
+        def lower(x: float) -> float:
+            return -math.expm1(-x)
+
+        def upper(x: float) -> float:
+            return math.exp(-x)
+
+        return lower, upper
+    split = a + 1.0
+    lgamma_a, lgamma_a1 = math.lgamma(a), math.lgamma(a + 1.0)
+
+    def lower(x: float) -> float:
+        if x < split:
+            return _gamma_series(a, x, lgamma_a1)
+        return 1.0 - _gamma_cf(a, x, lgamma_a)
+
+    if a == 2.0:
+
+        def upper(x: float) -> float:
+            return math.exp(-x) * (1.0 + x)
+
+    else:
+
+        def upper(x: float) -> float:
+            if x < split:
+                return 1.0 - _gamma_series(a, x, lgamma_a1)
+            return _gamma_cf(a, x, lgamma_a)
+
+    return lower, upper
+
+
 def lower_incomplete_gamma_reg(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
-    Elementary at a = 1/2 (erf(sqrt(x))) and a = 1 (1 - exp(-x)), DLMF 8.4.
-    Otherwise a power series below x = a + 1 and a Lentz continued fraction
-    above; the split keeps either one well away from its slow regime. Raises
-    DomainError if neither converges within _MAX_ITERATIONS terms, which
-    takes a shape far above the package's (a ~ 1e7 at x ~ a).
+    Evaluated as _incomplete_gamma_kernels describes. Raises DomainError
+    outside 0 < a < inf, 0 <= x < inf, and if neither expansion converges
+    within _MAX_ITERATIONS terms, which takes a shape far above the
+    package's (a ~ 1e7 at x ~ a).
     """
     if not (0.0 < a < math.inf and 0.0 <= x < math.inf):
         _check_gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if a == 0.5:
-        return math.erf(math.sqrt(x))
-    if a == 1.0:
-        return -math.expm1(-x)
-    # P(2, x) = 1 - exp(-x) (1 + x) cancels at small x: a = 2 keeps the split
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
+    return _incomplete_gamma_kernels(a)[0](x)
 
 
 def upper_incomplete_gamma_reg(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-
-    Elementary at a = 1/2 (erfc(sqrt(x))), a = 1 (exp(-x)) and a = 2
-    (exp(-x) (1 + x)), DLMF 8.4. Otherwise evaluated on the side of the
-    series/continued-fraction split that avoids the 1 - P subtraction when
-    Q is tiny; DomainError as for lower_incomplete_gamma_reg.
-    """
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), evaluated
+    and checked as lower_incomplete_gamma_reg."""
     if not (0.0 < a < math.inf and 0.0 <= x < math.inf):
         _check_gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if a == 0.5:
-        return math.erfc(math.sqrt(x))
-    if a == 1.0:
-        return math.exp(-x)
-    if a == 2.0:
-        return math.exp(-x) * (1.0 + x)
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
+    return _incomplete_gamma_kernels(a)[1](x)
 
 
 # Gauss-Kronrod 7-15 pair on [-1, 1].
@@ -212,30 +243,39 @@ _GK15_PAIRS = tuple(
 )
 
 
-def _gk15(g: Callable[[float], float], lo: float, hi: float):
+def _gk15(f: Callable[[float], float], lo: float, hi: float):
+    """Gauss-Kronrod 7-15 rule for the integral of f over [expm1(lo),
+    expm1(hi)], taken in u = log1p(x): each node u is mapped to x =
+    expm1(u) and weighted by the Jacobian 1 + x, the integrand in u being
+    f(x) (1 + x). Returns (Kronrod value, |Kronrod - Gauss|)."""
+    expm1 = math.expm1
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     fk = 0.0
     fg = 0.0
     for xk, wk, wg in _GK15_PAIRS:
-        fv = g(mid - half * xk) + g(mid + half * xk)
+        x1 = expm1(mid - half * xk)
+        x2 = expm1(mid + half * xk)
+        fv = f(x1) * (1.0 + x1) + f(x2) * (1.0 + x2)
         fk += wk * fv
         fg += wg * fv
-    fv = g(mid)
+    x = expm1(mid)
+    fv = f(x) * (1.0 + x)
     fk += _KRONROD_WEIGHTS[7] * fv
     fg += _GAUSS_WEIGHTS[3] * fv
     return fk * half, abs(fk - fg) * half
 
 
-def _raise_at_non_finite_node(g: Callable[[float], float], lo: float, hi: float) -> None:
-    """Raise DomainError naming the first node of _gk15's panel [lo, hi], in
-    _gk15's order, at which the mapped integrand g is not finite. Returns if
-    every node is finite (their weighted sum overflowed)."""
+def _raise_at_non_finite_node(f: Callable[[float], float], lo: float, hi: float) -> None:
+    """Raise DomainError naming the first node x of _gk15's panel [lo, hi],
+    in _gk15's order, at which f(x) (1 + x) is not finite. Returns if every
+    node is finite (their weighted sum overflowed)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     for u in [u for xk, _, _ in _GK15_PAIRS for u in (mid - half * xk, mid + half * xk)] + [mid]:
-        if not math.isfinite(g(u)):
-            raise DomainError(f"integrand not finite at x={math.expm1(u)!r}")
+        x = math.expm1(u)
+        if not math.isfinite(f(x) * (1.0 + x)):
+            raise DomainError(f"integrand not finite at x={x!r}")
 
 
 # Convergence is driven by relative error: PEP values span hundreds of orders
@@ -277,24 +317,21 @@ def integrate_semi_infinite(
     within a panel or two of its own size; one panel [0, end] where
     end <= scale / 4. Each panel is integrated in u = log1p(x), x = expm1(u)
     with Jacobian 1 + x, which keeps full relative precision in x at every
-    x a double holds, with an adaptively bisected Gauss-Kronrod 7-15 rule.
-    Deterministic. Raises DomainError for a scale that is not positive and
+    x a double holds, with an adaptively bisected Gauss-Kronrod 7-15 rule;
+    the rule maps its own nodes to x, so f is called once per node with
+    no wrapper between. Deterministic. Raises DomainError for a scale that is not positive and
     finite or an end that is not, and QuadratureError (carrying the best
     estimate) if the error target is still unmet after _MAX_SUBDIVISIONS
     bisections.
     """
     edges = _initial_edges(scale, end)
 
-    def g(u: float) -> float:
-        x = math.expm1(u)
-        return f(x) * (1.0 + x)
-
     def panel(lo: float, hi: float):
         # the Kronrod weights are positive, so a node that is not finite
         # leaves the panel's sum inf or nan: one test per panel, not per node
-        val, err = _gk15(g, lo, hi)
+        val, err = _gk15(f, lo, hi)
         if not math.isfinite(val):
-            _raise_at_non_finite_node(g, lo, hi)
+            _raise_at_non_finite_node(f, lo, hi)
         return val, err
 
     # panels are disjoint, so (neg_error, lo) orders the heap without ties

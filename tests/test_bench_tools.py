@@ -269,3 +269,51 @@ class TestSeveralWorkloads:
         ]
         assert [c[1] for c in calls[6:]] == ["pep_curves"] * 6
         json.dumps(out)  # what main writes
+
+
+class TestPassCounts:
+    SUMMARY = "pep_curves seed 5: 12 passes, 4032 calls, 4/796 failed per pass, 0 problems"
+
+    @staticmethod
+    def checkout(root, stderr_lines):
+        """A stand-in checkout whose perfbench/run.py prints those lines to
+        stderr and one correct result to stdout."""
+        script = root / "perfbench" / "run.py"
+        script.parent.mkdir(parents=True)
+        script.write_text(
+            "import sys\n"
+            + "".join(f"print({line!r}, file=sys.stderr)\n" for line in stderr_lines)
+            + f"print({result_line()!r})\n",
+            encoding="utf-8",
+        )
+        return root
+
+    @pytest.mark.parametrize(
+        "stderr,passes",
+        [("", None), ("no summary here", None), (SUMMARY, 12),
+         ("pep_curves seed 5: 3 passes, 1 calls\n" + SUMMARY, 12)],
+    )
+    def test_pass_count_of_the_last_summary_line(self, bench_pairs, stderr, passes):
+        assert bench_pairs.pass_count(stderr) == passes
+
+    @pytest.mark.parametrize("lines,passes", [(["starting", SUMMARY], 12), (["starting"], None)])
+    def test_run_once_records_passes_and_forwards_stderr(
+        self, bench_pairs, tmp_path, capfd, lines, passes
+    ):
+        root = self.checkout(tmp_path, lines)
+        result = bench_pairs.run_once(root, "pep_curves", 5, 0.1)
+        assert result["passes"] == passes
+        assert result["attempted"] == 796
+        assert capfd.readouterr().err.splitlines() == lines
+
+    def test_collect_records_every_runs_passes(self, bench_pairs, tmp_path):
+        # a stand-in for run_once: the change fits one more pass per run
+        def run(checkout, workload, seed, seconds, trace=0):
+            return {"correct": True, "attempted": 120, "failed": 0,
+                    "passes": seed + (checkout.name == "change"),
+                    "metrics": {"wall_s": {"value": 3.0, "unit": "s"}}}
+
+        checkouts = {side: tmp_path / side for side in ("parent", "change")}
+        out = bench_pairs.collect(run, checkouts, ["union_bound"], [5, 6],
+                                  TestSeveralWorkloads.BENCH)
+        assert out["workloads"]["union_bound"]["passes"] == {"parent": [5, 6], "change": [6, 7]}

@@ -169,6 +169,19 @@ class TestIncompleteGamma:
             fn(a, x)
         assert str(exc_info.value) == message
 
+    # the kernels the PEP integrands call at every node, one pair per
+    # shape, are the public functions bit for bit: at x = 0, the tiniest and
+    # largest arguments, and on both sides of the series/continued-fraction
+    # split at x = a + 1
+    @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0, 3.3])
+    def test_kernels_equal_the_public_functions(self, a):
+        lower, upper = specfun._incomplete_gamma_kernels(a)
+        split = a + 1.0
+        for x in (0.0, math.nextafter(split, 0.0), split, math.nextafter(split, math.inf),
+                  1e-300, 700.0):
+            assert lower(x) == lower_incomplete_gamma_reg(a, x), x
+            assert upper(x) == upper_incomplete_gamma_reg(a, x), x
+
     @pytest.mark.parametrize("fn", [lower_incomplete_gamma_reg, upper_incomplete_gamma_reg])
     def test_negative_zero_argument_is_zero(self, fn):
         assert fn(0.25, -0.0) == fn(0.25, 0.0)
@@ -288,7 +301,9 @@ class TestQuadrature:
 
     def test_gk15_matches_the_indexed_rule(self):
         # the rule walks (node, Kronrod weight, Gauss weight) triples in the
-        # order of the indexed loop it replaced, so every sum is bit-identical
+        # order of the indexed loop it replaced, and maps each node u to
+        # x = expm1(u) with weight 1 + x itself, so every sum is
+        # bit-identical to the indexed rule on the integrand in u
         def indexed(g, lo, hi):
             half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
             fk = fg = 0.0
@@ -305,9 +320,14 @@ class TestQuadrature:
             return fk * half, abs(fk - fg) * half
 
         rng = np.random.default_rng(19)
-        for g in (math.exp, math.sin, lambda t: t**7 - 3.0 * t, lambda t: 1.0 / (1.0 + t * t)):
+        for f in (math.exp, math.sin, lambda t: t**7 - 3.0 * t, lambda t: 1.0 / (1.0 + t * t)):
+
+            def in_u(u, f=f):
+                x = math.expm1(u)
+                return f(x) * (1.0 + x)
+
             for lo, width in rng.uniform(-3.0, 3.0, size=(50, 2)).tolist():
-                assert specfun._gk15(g, lo, lo + width) == indexed(g, lo, lo + width)
+                assert specfun._gk15(f, lo, lo + width) == indexed(in_u, lo, lo + width)
 
     def test_nonconvergence_reports_best_estimate(self):
         # oscillation far too fast for the subdivision budget

@@ -17,13 +17,18 @@ Writes one ``BENCH_<pr>.json`` at the root of this checkout. Under
 ``workloads``, for each workload: every end-to-end metric's runs, median
 and quartiles on each side, the number of pairs in which the change was
 better, worse or tied, and whether the change's median held the metric's
-bound; every run's correctness and operation counts; and, from one more
-run of each side with ``--trace 1`` at the first pair's seed, both sides'
-per-layer metrics (``raw.*`` included) under ``traced``. Beside it: the
+bound; every run's correctness and operation counts; every run's pass
+count under ``passes``, read from the summary line ``...: N passes, ...``
+that run.py prints to stderr (null where that line is missing), against
+which a ``peak_rss_mb`` that grows with the passes of a faster change can
+be read; and, from one more run of each side with ``--trace 1`` at the
+first pair's seed, both sides' per-layer metrics (``raw.*`` included)
+under ``traced``. Beside it: the
 seeds, which side ran first in each pair, each side's git commit (where it
 is a work tree) and a SHA-256 of its ``src/`` and ``perfbench/`` files, the
-host, its CPU count and the Python and numpy versions. Last it prints one
-verdict line per workload and end-to-end metric to stderr.
+host, its CPU count and the Python and numpy versions. Each run's stderr
+is captured and forwarded to this tool's stderr once the run ends. Last it
+prints one verdict line per workload and end-to-end metric to stderr.
 
 The tool stops on any run the benchmark would refuse: one that exits
 non-zero, prints no result, or whose last line is not strict JSON (no
@@ -41,6 +46,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -83,11 +89,26 @@ def parse_result(stdout: str) -> dict:
     return result
 
 
+# run.py's summary line: "<workload> seed <seed>: <N> passes, <M> calls, ..."
+_PASSES = re.compile(r": (\d+) passes, ")
+
+
+def pass_count(stderr: str) -> int | None:
+    """The pass count of the last summary line in a run's stderr, or None
+    where it has none."""
+    found = _PASSES.findall(stderr)
+    return int(found[-1]) if found else None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One benchmark run in checkout: its strictly parsed, correct result."""
+    """One benchmark run in checkout: its strictly parsed, correct result,
+    with its pass_count under "passes"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True)
+    sys.stderr.write(proc.stderr)
+    sys.stderr.flush()
     where = f"{' '.join(cmd)} in {checkout}"
     if proc.returncode != 0:
         raise SystemExit(f"{where} exited {proc.returncode}")
@@ -97,6 +118,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         raise SystemExit(f"{where}: {exc}")
     if not result["correct"]:
         raise SystemExit(f"{where}: correct is false")
+    result["passes"] = pass_count(proc.stderr)
     return result
 
 
@@ -213,6 +235,7 @@ def bench_workload(run, checkouts: dict, workload: str, seeds: list, bench: dict
     return {
         "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in runs[side]]
                  for side in SIDES},
+        "passes": {side: [r.get("passes") for r in runs[side]] for side in SIDES},
         "metrics": summary(runs, bench["end_to_end"]),
         "traced": {"seed": seeds[0], "metrics": side_by_side(traced)},
     }
