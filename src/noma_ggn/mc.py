@@ -5,11 +5,25 @@ Trials are processed in fixed-size logical blocks, each drawing from its own
 integers and merging is plain summation, so the counts are the same for any
 split of the blocks into ranges and any order of visiting them. A call of at
 least _POOL_MIN_BLOCKS blocks splits them into min(usable CPUs, blocks)
-contiguous ranges and runs each range in its own forked worker process; a
-smaller call, a call on one CPU, a call from a daemonic process or a call on
-a platform without a safe fork runs its blocks in the calling process.
-Every block of a range draws into and computes in the same arrays, which
-the range allocates once.
+contiguous ranges and runs each range in one worker of a pool of that many
+forked processes; a smaller call, a call on one CPU, a call from a daemonic
+process or a call on a platform without a safe fork runs its blocks in the
+calling process. Every block of a range draws into and computes in the same
+arrays, which the range allocates once; a worker keeps no arrays between
+calls.
+
+The pool is kept for the life of the process. The first pooled call starts
+it and pays the fork; later calls with the same worker count reuse its
+workers, and a call that needs another count shuts it down and starts a new
+one. A forked child forgets its parent's pool and starts its own on its
+first pooled call. The pool is shut down at exit, also where a
+multiprocessing child ends (which runs no atexit handlers). A call that
+finds the pool broken, because a worker died, drops it and runs its ranges
+once more in a fresh pool, so it returns the same counts; if that pool
+breaks too, the call raises concurrent.futures.process.BrokenProcessPool.
+The pool's manager thread stays alive between calls, so a caller that
+forks after a pooled call forks a multi-threaded process (Python 3.12 and
+later warn of it).
 
 Each estimator takes a sequence of sweep points (events or configurations)
 and draws every block once for all of them, so a one-point call is a
@@ -24,6 +38,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,12 +54,15 @@ __all__ = ["McEstimate", "BLOCK_TRIALS", "wilson_interval", "estimate_pep_mc", "
 
 BLOCK_TRIALS = 1 << 16
 
-# Fewest blocks a call must have before its blocks go to worker processes.
-# Below it the pool's start-up and shut-down cost (about 40 ms on 2 CPUs)
-# exceeds the block work it takes off the caller. Measured on the cheapest
-# block, a one-event PEP call, which is its draws alone (with one comparison
-# per event it still is): on 2 CPUs the pool lost at 5 blocks and won from 6
-# on; costlier blocks cross over sooner (ROADMAP item 7).
+# Fewest blocks a call must have before its blocks go to worker processes,
+# set for a cold pool: the first pooled call of a process, which forks the
+# workers. Measured on the cheapest block, a one-event PEP call (medians of
+# 31, 2 CPUs): in the caller 22.6, 29.6 and 33.4 ms at 4, 5 and 6 blocks, a
+# cold pool 23.7, 28.7 and 31.4 ms, so the crossover still lies at 5 to 6
+# blocks. A warm pool is about 9 ms cheaper and wins from 3 blocks on (15.7
+# against 17.8 ms), but a call's worker count must not depend on whether an
+# earlier call started the pool. Costlier blocks cross over sooner (ROADMAP
+# item 7).
 _POOL_MIN_BLOCKS = 6
 
 # two-sided 95%
@@ -162,6 +180,82 @@ def _pool_workers(blocks: int) -> tuple:
     return workers, multiprocessing.get_context("fork")
 
 
+class _KeptPool:
+    """The worker processes that pooled calls share: started by the first
+    pooled call, kept for the next ones and keyed on (pid, worker count).
+    Every pooled call submits its ranges under one lock, so calls from
+    several threads share the pool safely."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._key = None
+        self._executor = None
+        self._exit_pid = None
+
+    def forget(self) -> None:
+        """Drop the pool without touching it, as a forked child does: its
+        workers and manager thread belong to the parent. The lock is new
+        too, since another thread of the parent may have held it."""
+        self._lock = threading.Lock()
+        self._key = self._executor = None
+
+    def shutdown(self) -> None:
+        """Stop the pool's workers and wait for them; the next pooled call
+        starts a new pool."""
+        with self._lock:
+            executor, self._key, self._executor = self._executor, None, None
+        if executor is not None:
+            executor.shutdown()
+
+    def map(self, fn, ranges: list, context) -> list:
+        """fn's results over ranges, one range per kept worker. A pool found
+        broken (a worker died) is dropped and the ranges run once more in a
+        fresh one; a second break raises BrokenProcessPool."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        for retry in (False, True):
+            try:
+                with self._lock:
+                    executor = self._start(len(ranges), context)
+                    # map submits every range before it returns
+                    results = executor.map(fn, ranges)
+                return list(results)
+            except BrokenProcessPool:
+                with self._lock:
+                    if self._executor is executor:
+                        self._key = self._executor = None
+                executor.shutdown()
+                if retry:
+                    raise
+
+    def _start(self, workers: int, context):
+        """The kept executor of `workers` processes in this process; one of
+        another size is shut down first. The caller holds the lock."""
+        import concurrent.futures
+        from multiprocessing import util
+
+        key = (os.getpid(), workers)
+        if self._key == key:
+            return self._executor
+        if self._executor is not None and self._key[0] == key[0]:
+            self._executor.shutdown()
+        self._key, self._executor = None, None
+        if self._exit_pid != key[0]:
+            # multiprocessing's exit finalizers run from atexit and also where
+            # a multiprocessing child ends, which runs no atexit handlers; the
+            # high priority stops the workers before that exit joins them
+            util.Finalize(None, self.shutdown, exitpriority=100)
+            self._exit_pid = key[0]
+        self._executor = concurrent.futures.ProcessPoolExecutor(workers, mp_context=context)
+        self._key = key
+        return self._executor
+
+
+_KEPT_POOL = _KeptPool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_KEPT_POOL.forget)
+
+
 def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int) -> tuple:
     """block_fn's error counts summed over every block of the call, with the
     block count and the number of processes that ran the blocks."""
@@ -171,14 +265,10 @@ def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int)
     workers, context = _pool_workers(len(blocks))
     if workers < 2:
         return _count_range(block_fn, points, model, seed, blocks), len(blocks), 1
-    import concurrent.futures
-
     bounds = [len(blocks) * i // workers for i in range(workers + 1)]
     ranges = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-        run_range = functools.partial(_count_range, block_fn, points, model, seed)
-        counts = sum(pool.map(run_range, ranges))
-    return counts, len(blocks), workers
+    run_range = functools.partial(_count_range, block_fn, points, model, seed)
+    return sum(_KEPT_POOL.map(run_range, ranges, context)), len(blocks), workers
 
 
 def _pep_block(

@@ -1,5 +1,6 @@
 """The benchmark's tracer, a traced pass of each workload, and the pair
-tool's strict result parser, bound verdict and source digest.
+tool's strict result parser, leftover-process check, bound verdict and
+source digest.
 
 The modules are loaded from their files: neither ``perfbench/`` nor
 ``tools/`` is a package, and nothing under ``perfbench/`` is written.
@@ -7,6 +8,8 @@ The modules are loaded from their files: neither ``perfbench/`` nor
 
 import json
 import math
+import os
+import signal
 import sys
 import types
 from pathlib import Path
@@ -305,6 +308,29 @@ class TestPassCounts:
         assert result["passes"] == passes
         assert result["attempted"] == 796
         assert capfd.readouterr().err.splitlines() == lines
+
+    def test_run_leaving_a_process_refused(self, bench_pairs, tmp_path):
+        # a correct result, but run.py's sleep child outlives it
+        pid_file = tmp_path / "sleep.pid"
+        root = self.checkout(tmp_path / "checkout", [])
+        script = root / "perfbench" / "run.py"
+        script.write_text(
+            "import subprocess\n"
+            "child = subprocess.Popen(['sleep', '60'])\n"
+            f"open({str(pid_file)!r}, 'w').write(str(child.pid))\n"
+            + script.read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        try:
+            with pytest.raises(SystemExit, match="left processes running") as refused:
+                bench_pairs.run_once(root, "pep_curves", 5, 0.1)
+            assert f"[{pid_file.read_text()}]" in str(refused.value)
+        finally:
+            if pid_file.exists():
+                try:
+                    os.killpg(os.getpgid(int(pid_file.read_text())), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_collect_records_every_runs_passes(self, bench_pairs, tmp_path):
         # a stand-in for run_once: the change fits one more pass per run

@@ -1,12 +1,15 @@
 """Monte Carlo: pairwise experiments, full SIC BER, determinism, intervals."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -297,15 +300,49 @@ def _estimate_in_child():
     return est, est.workers
 
 
+def _pooled_call_in_child(conn):
+    """In a forked child: whether it started without its parent's pool, and
+    a four-block estimate it runs in a pool of its own. The child leads a
+    process group, which its pool's workers join."""
+    os.setpgid(0, 0)
+    try:
+        conn.send((mc._KEPT_POOL._executor is None, _estimate_in_child()))
+    except BaseException as exc:
+        conn.send(exc)
+        raise
+    finally:
+        conn.close()
+
+
+def _alive(pids):
+    """Those of pids whose process still exists."""
+    alive = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        alive.append(pid)
+    return alive
+
+
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestWorkers:
     """A call of _POOL_MIN_BLOCKS blocks or more runs them in min(usable
     CPUs, blocks) forked processes, one contiguous block range each, and its
-    counts do not depend on how many."""
+    counts do not depend on how many. The processes are kept for the next
+    pooled call with the same worker count."""
 
     TRIALS = 3 * (1 << 16) + 1234  # four blocks, a partial last one
+
+    @pytest.fixture(autouse=True)
+    def no_kept_pool(self):
+        # each test starts the pool it counts on; none is left to the next
+        mc._KEPT_POOL.shutdown()
+        yield
+        mc._KEPT_POOL.shutdown()
 
     @staticmethod
     def cpus(monkeypatch, n):
@@ -401,6 +438,103 @@ class TestWorkers:
         assert methods == ["fork"]
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
         assert estimate_pep_mc(events, model, trials, 1) == (pooled,)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
+    def test_pool_kept_until_the_worker_count_changes(self, monkeypatch):
+        started = []
+
+        def executor(workers, mp_context):
+            started.append(workers)
+            return pool_executor(workers, mp_context=mp_context)
+
+        pool_executor = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
+        self.cpus(monkeypatch, 2)
+        first, workers = _estimate_in_child()
+        assert _estimate_in_child() == (first, workers) == (first, 2)
+        assert started == [2]
+        two = [child.pid for child in multiprocessing.active_children()]
+        assert len(two) == 2
+        self.cpus(monkeypatch, 3)
+        assert _estimate_in_child() == (first, 3)
+        assert started == [2, 3]
+        # the two-worker pool was shut down before the three-worker one started
+        assert _alive(two) == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        parent = _estimate_in_child()
+        executor, caller = mc._KEPT_POOL._executor, os.getpid()
+        submit = executor.submit
+
+        def parent_only_submit(*args, **kwargs):
+            if os.getpid() != caller:
+                raise AssertionError("a forked child submitted to its parent's pool")
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "submit", parent_only_submit)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_pooled_call_in_child, args=(writer,))
+        assert not child.daemon  # a daemonic child would run in-process
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(120), "the forked child sent nothing"
+            sent = reader.recv()
+            child.join(60)
+            assert not child.is_alive(), "the forked child did not exit"
+        finally:
+            # a child that hangs on exit leaves its pool's workers too
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.kill()
+            child.join(10)
+        assert sent == (True, parent)
+        assert child.exitcode == 0
+        # the parent's pool still serves the parent
+        assert _estimate_in_child() == parent
+        assert mc._KEPT_POOL._executor is executor
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
+    def test_dead_worker_replaced_by_a_fresh_pool(self, monkeypatch):
+        # the call that finds the pool broken runs its ranges again in a
+        # fresh pool (mc's docstring), however soon after the death it comes
+        self.cpus(monkeypatch, 2)
+        first = _estimate_in_child()
+        for wait_s in (0.0, 0.5):
+            workers = [child.pid for child in multiprocessing.active_children()]
+            assert len(workers) == 2
+            executor = mc._KEPT_POOL._executor
+            os.kill(workers[0], signal.SIGKILL)
+            time.sleep(wait_s)
+            assert _estimate_in_child() == first
+            assert mc._KEPT_POOL._executor is not executor
+            assert _alive(workers) == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
+    def test_cli_process_leaves_no_worker_behind(self, tmp_path):
+        cfg, csv = tmp_path / "pep.cfg", tmp_path / "pep.csv"
+        cfg.write_text("trials = 1000000\nsnr_db = 10\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(noma_ggn.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import multiprocessing; from noma_ggn import cli, mc; "
+            "mc._usable_cpus = lambda: 2; "
+            f"code = cli.main(['pep', {str(cfg)!r}, '-o', {str(csv)!r}]); "
+            "print(code, *(child.pid for child in multiprocessing.active_children()))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        code, *workers = map(int, out.split())
+        assert code == 0 and len(workers) == 2  # 16 blocks on two kept workers
+        deadline = time.monotonic() + 5.0
+        while _alive(workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _alive(workers) == []
 
     @pytest.mark.parametrize("platform,methods", [
         (sys.platform, ["spawn", "forkserver"]),  # no fork at all

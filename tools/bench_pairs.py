@@ -30,12 +30,14 @@ host, its CPU count and the Python and numpy versions. Each run's stderr
 is captured and forwarded to this tool's stderr once the run ends. Last it
 prints one verdict line per workload and end-to-end metric to stderr.
 
-The tool stops on any run the benchmark would refuse: one that exits
-non-zero, prints no result, or whose last line is not strict JSON (no
-``NaN`` or ``Infinity``) with a finite number for every metric value (a
-traced name that no longer resolves reads ``null``); one that reports
-``correct: false``; and a pair whose sides attempted or failed a different
-number of operations.
+The tool stops on any run the benchmark would refuse: one that leaves a
+process running (each run starts in a session of its own, whose processes
+are listed from ``/proc`` once the run has exited), exits non-zero, prints
+no result, or whose last line is not strict JSON (no ``NaN`` or
+``Infinity``) with a finite number for every metric value (a traced name
+that no longer resolves reads ``null``); one that reports ``correct:
+false``; and a pair whose sides attempted or failed a different number of
+operations.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -100,25 +103,54 @@ def pass_count(stderr: str) -> int | None:
     return int(found[-1]) if found else None
 
 
+def session_processes(session: int) -> list:
+    """Pids of the processes of a session that have not exited (zombies
+    left out), read from /proc."""
+    if not Path("/proc/self/stat").is_file():
+        raise SystemExit("no /proc: cannot list the processes a run left behind")
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text(encoding="utf-8", errors="replace")
+        except OSError:  # the process exited since the listing
+            continue
+        # after the parenthesised command name: state, ppid, pgrp, session
+        state, _, _, sid = text[text.rindex(")") + 2:].split()[:4]
+        if state != "Z" and int(sid) == session:
+            pids.append(int(stat.parent.name))
+    return sorted(pids)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One benchmark run in checkout: its strictly parsed, correct result,
     with its pass_count under "passes"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True)
-    sys.stderr.write(proc.stderr)
+    # files, not pipes: a process the run leaves behind may hold its output
+    # open, and reading a pipe to its end would wait for that process
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as out, \
+            tempfile.TemporaryFile("w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err,
+                                start_new_session=True)
+        proc.wait()
+        left = session_processes(proc.pid)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    sys.stderr.write(stderr)
     sys.stderr.flush()
     where = f"{' '.join(cmd)} in {checkout}"
+    if left:
+        raise SystemExit(f"{where} left processes running: {left}")
     if proc.returncode != 0:
         raise SystemExit(f"{where} exited {proc.returncode}")
     try:
-        result = parse_result(proc.stdout)
+        result = parse_result(stdout)
     except ValueError as exc:
         raise SystemExit(f"{where}: {exc}")
     if not result["correct"]:
         raise SystemExit(f"{where}: correct is false")
-    result["passes"] = pass_count(proc.stderr)
+    result["passes"] = pass_count(stderr)
     return result
 
 
