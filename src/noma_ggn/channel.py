@@ -26,9 +26,13 @@ def _check_indices(L: int, l: int) -> None:
 
 
 def _order_coeff(L: int, l: int) -> float:
-    """A_l = L! / [(l-1)! (L-l)!] = L C(L-1, l-1) of the l-th of L gains."""
+    """A_l = L! / [(l-1)! (L-l)!] = L C(L-1, l-1) of the l-th of L gains; one
+    beyond a double raises DomainError."""
     _check_indices(L, l)
-    return float(L * math.comb(L - 1, l - 1))
+    try:
+        return float(L * math.comb(L - 1, l - 1))
+    except OverflowError:
+        raise DomainError(f"A_{l} of {L} users overflows a double") from None
 
 
 def ordered_pdf(L: int, l: int, w: float) -> float:

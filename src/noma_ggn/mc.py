@@ -3,19 +3,19 @@
 Trials are processed in fixed-size logical blocks, each drawing from its own
 (seed, block-index) stream through a per-block function. Error counts are
 integers and merging is plain summation, so the counts are the same for any
-split of the blocks into ranges and any order of visiting them. A call of at
-least _POOL_MIN_BLOCKS blocks splits them into min(usable CPUs, blocks)
-contiguous ranges and runs each range in one worker of a pool of that many
-forked processes; a smaller call, a call on one CPU, a call from a daemonic
+split of the blocks into ranges and any order of visiting them. A call of
+two or more blocks splits them into min(usable CPUs, blocks) contiguous
+ranges and runs each range in one worker of a kept pool of forked
+processes; a one-block call, a call on one CPU, a call from a daemonic
 process or a call on a platform without a safe fork runs its blocks in the
 calling process. Every block of a range draws into and computes in the same
 arrays, which the range allocates once; a worker keeps no arrays between
 calls.
 
 The pool is kept for the life of the process. The first pooled call starts
-it and pays the fork; later calls with the same worker count reuse its
-workers, and a call that needs another count shuts it down and starts a new
-one. A forked child forgets its parent's pool and starts its own on its
+it and pays the fork; later calls that need no more workers than it has
+reuse it, and a call that needs more shuts it down and starts a larger one.
+A forked child forgets its parent's pool and starts its own on its
 first pooled call. The pool is shut down at exit, also where a
 multiprocessing child ends (which runs no atexit handlers). A call that
 finds the pool broken, because a worker died, drops it and runs its ranges
@@ -28,7 +28,8 @@ later warn of it).
 Each estimator takes a sequence of sweep points (events or configurations)
 and draws every block once for all of them, so a one-point call is a
 one-element sequence and an N-point call gives the counts of N one-point
-calls at the same seed.
+calls at the same seed. trials must be an integer of at least 1 and seed
+one of at least 0, or the estimator raises DomainError.
 """
 
 from __future__ import annotations
@@ -53,17 +54,6 @@ from .specfun import DomainError
 __all__ = ["McEstimate", "BLOCK_TRIALS", "wilson_interval", "estimate_pep_mc", "simulate_ber"]
 
 BLOCK_TRIALS = 1 << 16
-
-# Fewest blocks a call must have before its blocks go to worker processes,
-# set for a cold pool: the first pooled call of a process, which forks the
-# workers. Measured on the cheapest block, a one-event PEP call (medians of
-# 31, 2 CPUs): in the caller 22.6, 29.6 and 33.4 ms at 4, 5 and 6 blocks, a
-# cold pool 23.7, 28.7 and 31.4 ms, so the crossover still lies at 5 to 6
-# blocks. A warm pool is about 9 ms cheaper and wins from 3 blocks on (15.7
-# against 17.8 ms), but a call's worker count must not depend on whether an
-# earlier call started the pool. Costlier blocks cross over sooner (ROADMAP
-# item 7).
-_POOL_MIN_BLOCKS = 6
 
 # two-sided 95%
 _WILSON_Z = 1.959963984540054
@@ -154,35 +144,35 @@ def _count_range(block_fn, points, model: GGNoiseModel, seed: int, blocks: list)
     )
 
 
-def _pool_workers(blocks: int) -> tuple:
-    """Worker processes for a call of `blocks` blocks and the fork context
-    that starts them; (1, None) runs the call in-process.
+def _pool_workers(blocks: int) -> int:
+    """Worker processes for a call of `blocks` blocks; 1 runs the call
+    in-process.
 
-    In-process: below _POOL_MIN_BLOCKS, on one CPU, in a daemonic caller (a
-    multiprocessing.Pool worker may not have children) and where the
-    platform has no safe fork. Fork needs no `if __name__ == "__main__":`
-    guard in the caller's script, which spawn and forkserver (the Linux
-    default from Python 3.14) do; Python documents fork as unsafe on macOS.
+    In-process: one block, one CPU, a daemonic caller (a multiprocessing.Pool
+    worker may not have children) and a platform without a safe fork. Fork
+    needs no `if __name__ == "__main__":` guard in the caller's script,
+    which spawn and forkserver (the Linux default from Python 3.14) do;
+    Python documents fork as unsafe on macOS.
     """
-    if blocks < _POOL_MIN_BLOCKS:
-        return 1, None
+    workers = min(_usable_cpus(), blocks)
+    if workers < 2:
+        return 1
     # imported here: the pool machinery costs tens of ms at package import
     import multiprocessing
 
-    workers = min(_usable_cpus(), blocks)
     if (
-        workers < 2
-        or multiprocessing.current_process().daemon
+        multiprocessing.current_process().daemon
         or sys.platform == "darwin"
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        return 1, None
-    return workers, multiprocessing.get_context("fork")
+        return 1
+    return workers
 
 
 class _KeptPool:
     """The worker processes that pooled calls share: started by the first
-    pooled call, kept for the next ones and keyed on (pid, worker count).
+    pooled call, kept for the next ones and keyed on (pid, worker count); a
+    call with fewer ranges than workers leaves the others idle.
     Every pooled call submits its ranges under one lock, so calls from
     several threads share the pool safely."""
 
@@ -207,7 +197,7 @@ class _KeptPool:
         if executor is not None:
             executor.shutdown()
 
-    def map(self, fn, ranges: list, context) -> list:
+    def map(self, fn, ranges: list) -> list:
         """fn's results over ranges, one range per kept worker. A pool found
         broken (a worker died) is dropped and the ranges run once more in a
         fresh one; a second break raises BrokenProcessPool."""
@@ -216,7 +206,7 @@ class _KeptPool:
         for retry in (False, True):
             try:
                 with self._lock:
-                    executor = self._start(len(ranges), context)
+                    executor = self._start(len(ranges))
                     # map submits every range before it returns
                     results = executor.map(fn, ranges)
                 return list(results)
@@ -228,26 +218,30 @@ class _KeptPool:
                 if retry:
                     raise
 
-    def _start(self, workers: int, context):
-        """The kept executor of `workers` processes in this process; one of
-        another size is shut down first. The caller holds the lock."""
+    def _start(self, workers: int):
+        """A kept executor of at least `workers` forked processes in this
+        process; a smaller one is shut down first. The caller holds the
+        lock."""
         import concurrent.futures
+        import multiprocessing
         from multiprocessing import util
 
-        key = (os.getpid(), workers)
-        if self._key == key:
-            return self._executor
-        if self._executor is not None and self._key[0] == key[0]:
+        pid = os.getpid()
+        if self._key is not None and self._key[0] == pid:
+            if self._key[1] >= workers:
+                return self._executor
             self._executor.shutdown()
         self._key, self._executor = None, None
-        if self._exit_pid != key[0]:
+        if self._exit_pid != pid:
             # multiprocessing's exit finalizers run from atexit and also where
             # a multiprocessing child ends, which runs no atexit handlers; the
             # high priority stops the workers before that exit joins them
             util.Finalize(None, self.shutdown, exitpriority=100)
-            self._exit_pid = key[0]
-        self._executor = concurrent.futures.ProcessPoolExecutor(workers, mp_context=context)
-        self._key = key
+            self._exit_pid = pid
+        self._executor = concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        )
+        self._key = (pid, workers)
         return self._executor
 
 
@@ -259,16 +253,17 @@ if hasattr(os, "register_at_fork"):
 def _count_blocks(block_fn, points, model: GGNoiseModel, trials: int, seed: int) -> tuple:
     """block_fn's error counts summed over every block of the call, with the
     block count and the number of processes that ran the blocks."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
-    blocks = list(enumerate(_block_sizes(trials)))
-    workers, context = _pool_workers(len(blocks))
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    blocks = list(enumerate(_block_sizes(int(trials))))
+    workers = _pool_workers(len(blocks))
     if workers < 2:
         return _count_range(block_fn, points, model, seed, blocks), len(blocks), 1
     bounds = [len(blocks) * i // workers for i in range(workers + 1)]
     ranges = [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     run_range = functools.partial(_count_range, block_fn, points, model, seed)
-    return sum(_KEPT_POOL.map(run_range, ranges, context)), len(blocks), workers
+    return sum(_KEPT_POOL.map(run_range, ranges)), len(blocks), workers
 
 
 def _pep_block(

@@ -301,15 +301,14 @@ def build_error_event(
 
 def enumerate_error_events(config: SystemConfig, l: int) -> tuple:
     """All pairwise error events of user l under uniform symbol averaging, as
-    a tuple of (event, weight) pairs.
+    a tuple of events.
 
     Joint assignments of transmitted symbols (all users), SIC-layer decisions
     (layers below l, each a free constellation point) and wrong hypotheses
-    x_check != x_l are enumerated; every assignment of an (x_l, x_check)
-    class has the same weight, one over the class size. Boundary
-    (upsilon = 0) assignments have no ErrorEvent and are left out, so a
-    class's weights sum to 1 minus its boundary share (union_bound counts
-    that share). More than _MAX_EVENTS raw assignments raise DomainError.
+    x_check != x_l are enumerated; each (x_l, x_check) class has
+    |phi|^(L + l - 2) assignments. Boundary (upsilon = 0) assignments have
+    no ErrorEvent and are left out (union_bound counts them). More than
+    _MAX_EVENTS raw assignments raise DomainError.
     """
     if not 1 <= l <= config.L:
         raise DomainError(f"user index must be in 1..{config.L}, got {l!r}")
@@ -321,8 +320,6 @@ def enumerate_error_events(config: SystemConfig, l: int) -> tuple:
             f"enumeration size {n_raw} exceeds cap {_MAX_EVENTS} "
             f"(L={config.L}, |phi|={m})"
         )
-    class_size = m ** (config.L - 1) * m ** (l - 1)
-    weight = 1.0 / class_size
     events = []
     for tx in itertools.product(phi, repeat=config.L):
         for detected in itertools.product(phi, repeat=l - 1):
@@ -341,5 +338,5 @@ def enumerate_error_events(config: SystemConfig, l: int) -> tuple:
                     )
                 except DegenerateEventError:
                     continue
-                events.append((ev, weight))
+                events.append(ev)
     return tuple(events)

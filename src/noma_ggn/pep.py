@@ -243,13 +243,18 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
     The paper's term-wise sum of T1 - T2 over the alternating
     order-statistics terms cancels to l-th order at high SNR; folding the sum
     into the integrand first gives
-    A_l/(2 Gamma(1/a)) * alpha kappa * int exp(-(kappa w)^a) B(w) dw with
-    B(w) = int_0^W u^(l-1) (1-u)^(L-l) du, W = 1 - exp(-w^2/2), which has no
-    cancellation at any SNR.
+    alpha kappa / (2 Gamma(1/a)) * int exp(-(kappa w)^a) F(w) dw with F(w)
+    the distribution function of the l-th smallest of L gains,
+    F(w) = A_l int_0^W u^(l-1) (1-u)^(L-l) du
+         = sum_{k=l}^{L} C(L, k) W^k V^(L-k), W = 1 - V, V = exp(-w^2/2).
+    Every term of that sum is nonnegative, so it has no cancellation at any
+    SNR or user count. A C(L, k) beyond a double raises DomainError.
     """
     L, l = event.L, event.l
-    m = L - l  # (1-u)^m exponent, a small nonnegative integer
-    coeffs = [math.comb(m, j) * (-1.0) ** j / (l + j) for j in range(m + 1)]
+    try:
+        first, *rest = [float(math.comb(L, k)) for k in range(l, L + 1)]
+    except OverflowError:
+        raise DomainError(f"binomial coefficients of {L} users overflow a double") from None
 
     exp, expm1 = math.exp, math.expm1
 
@@ -259,15 +264,18 @@ def _constructive_value(event: ErrorEvent, alpha: float, kappa: float) -> tuple:
         except OverflowError:
             return 0.0  # exp(-z) underflowed long before
         big_w = -expm1(-0.5 * w * w)
-        beta = 0.0
-        wp = big_w**l
-        for c in coeffs:
-            beta += c * wp
+        # V as 1 - W saves an exp per node: where V is small, its absolute
+        # rounding error reaches F only through the terms V scales
+        v = 1.0 - big_w
+        # F / W^l = sum_j C(L, l+j) W^j V^(L-l-j), in Horner form over V
+        cdf = first
+        wp = 1.0
+        for c in rest:
             wp *= big_w
-        return exp(-z) * beta
+            cdf = cdf * v + c * wp
+        return exp(-z) * (cdf * big_w**l)
 
-    a_l = _order_coeff(L, l)
-    factor = a_l / (2.0 * math.exp(math.lgamma(1.0 / alpha))) * alpha * kappa
+    factor = alpha * kappa / (2.0 * math.exp(math.lgamma(1.0 / alpha)))
     return _pep_quadrature(
         "quadrature", event, alpha, kappa, integrand, _constructive_end(alpha, kappa),
         factor, not event.mu,
@@ -301,7 +309,7 @@ def _constructive_series(L: int, l: int, alpha: float, kappa: float):
     """The constructive PEP at decay scale kappa by its high-SNR series, as
     (value, error estimate), or None where the series is declined.
 
-    In s = w^2 / 2 the integrand's B(w) of _constructive_value is
+    In s = w^2 / 2 the integrand's F(w) / A_l of _constructive_value is
     sum_{k >= l} N_k s^k / k! with the integers
     N_k = sum_{i < l} C(l-1, i) (-1)^i (-delta_i)^(k-1), delta_i = L - l + 1 + i
     (N_l = (l-1)!, and the signs alternate). Integrated term by term
@@ -498,17 +506,22 @@ def union_bound(config: SystemConfig, model: GGNoiseModel, l: int) -> UnionBound
     q = len(phi).bit_length() - 1
     if 2**q != len(phi):
         raise DomainError("union bound needs a power-of-two constellation size")
+    # enumerated first: its size cap raises before |phi|^(L + l - 2) can
+    # overflow a double
+    events = enumerate_error_events(config, l)
+    # each assignment weighs one over its class's size |phi|^(L + l - 2)
+    weight = 1.0 / len(phi) ** (config.L + l - 2)
     pep_sum = dict.fromkeys(itertools.permutations(phi, 2), 0.0)
-    weight_sum = dict.fromkeys(pep_sum, 0.0)
-    for ev, weight in enumerate_error_events(config, l):
+    count = dict.fromkeys(pep_sum, 0)
+    for ev in events:
         key = (ev.x_l, ev.x_check_l)
         pep_sum[key] += weight * pep_exact(ev, model).value
-        weight_sum[key] += weight
-    # the weights are powers of two, so each class's boundary share
-    # 1 - weight_sum is exact, and 0.0 where the class has no boundary
+        count[key] += 1
+    # the weight is a power of two, so each class's boundary share
+    # 1 - count * weight is exact, and 0.0 where the class has no boundary
     contributions = tuple(
         (x, x_check, _bit_errors(config, x, x_check),
-         pep_sum[x, x_check] + 0.5 * (1.0 - weight_sum[x, x_check]))
+         pep_sum[x, x_check] + 0.5 * (1.0 - count[x, x_check] * weight))
         for x, x_check in sorted(pep_sum)
     )
     pr_x = 1.0 / len(phi)

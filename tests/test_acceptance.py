@@ -51,7 +51,7 @@ def test_criterion_1_closed_form_consistency():
         for snr_db in GRID_DB:
             cfg = three_user(db(snr_db), alpha)
             for l in (1, 2, 3):
-                for ev, _ in enumerate_error_events(cfg, l):
+                for ev in enumerate_error_events(cfg, l):
                     exact = pep_exact(ev, model).value
                     closed = pep_closed_form(ev, alpha).value
                     worst = max(worst, abs(closed - exact) / exact)
@@ -71,7 +71,7 @@ def test_criterion_2_path_equivalence():
         for snr_db in GRID_DB:
             cfg = three_user(db(snr_db), alpha)
             for l in (1, 2, 3):
-                for ev, _ in enumerate_error_events(cfg, l):
+                for ev in enumerate_error_events(cfg, l):
                     exact = pep_exact(ev, model).value
                     direct = pep_direct(ev, model).value
                     worst = max(worst, abs(direct - exact) / exact)
@@ -194,7 +194,7 @@ def test_criterion_7_gaussian_reduction():
     for _ in range(100):
         cfg = three_user(float(rng.uniform(0.1, 1000.0)), 2.0)
         l = int(rng.integers(1, 4))
-        events = [ev for ev, _ in enumerate_error_events(cfg, l)]
+        events = [ev for ev in enumerate_error_events(cfg, l)]
         ev = events[int(rng.integers(0, len(events)))]
         h = float(rng.uniform(0.01, 10.0))
         lam = DecisionNoise.from_event(ev, h).lambda_sub

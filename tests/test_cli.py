@@ -218,6 +218,22 @@ class TestMain:
         assert main(["pep", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,metric,message", [
+        ("pep", "pep_analytic", "1100 users"),
+        ("pep", "pep_closed", "1100 users"),
+        ("ber", "ber_union", "exceeds cap"),
+    ])
+    def test_binomial_overflow_exit_code(self, tmp_path, capsys, command, metric, message):
+        # the middle users' order-statistics coefficients of 1100 users and
+        # 2^1100 assignments are beyond a double: a configuration error, not
+        # a traceback
+        cfg = tmp_path / "users.cfg"
+        power = ",".join([repr(1.0 / 1100)] * 1100)
+        cfg.write_text(f"users=1100\npower={power}\nsnr_db=10\nmetrics={metric}\n")
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: metric '{metric}'" in err and message in err
+
     # a NaN coefficient used to pass every power check: ber printed BERs of
     # about 0.5 and print-config echoed power=nan, both exiting 0
     @pytest.mark.parametrize("command", ["ber", "print-config"])

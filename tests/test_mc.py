@@ -185,7 +185,7 @@ class TestSharedDraws:
         ]
         # two destructive (mu = 0) events of user 3
         enumerated = enumerate_error_events(three_user(db(10.0), 1.0), 3)
-        events += [ev for ev, _ in enumerated if ev.mu == 0][:2]
+        events += [ev for ev in enumerated if ev.mu == 0][:2]
         shared = estimate_pep_mc(events, model, trials=self.TRIALS, seed=5)
         single = tuple(
             estimate_pep_mc([ev], model, trials=self.TRIALS, seed=5)[0] for ev in events
@@ -266,7 +266,7 @@ class TestEventThreshold:
         for snr_db in (-10.0, 10.0, 30.0, 60.0):
             cfg = three_user(db(snr_db), alpha)
             for l in (1, 2, 3):
-                for ev, _ in enumerate_error_events(cfg, l):
+                for ev in enumerate_error_events(cfg, l):
                     picked.setdefault((snr_db, l, ev.mu, ev.zeta > ev.X), ev)
         return list(picked.values())
 
@@ -330,10 +330,10 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestWorkers:
-    """A call of _POOL_MIN_BLOCKS blocks or more runs them in min(usable
-    CPUs, blocks) forked processes, one contiguous block range each, and its
-    counts do not depend on how many. The processes are kept for the next
-    pooled call with the same worker count."""
+    """A call of two blocks or more runs them in min(usable CPUs, blocks)
+    forked processes, one contiguous block range each, and its counts do
+    not depend on how many. The processes are kept for the next pooled call
+    that needs no more of them."""
 
     TRIALS = 3 * (1 << 16) + 1234  # four blocks, a partial last one
 
@@ -346,8 +346,6 @@ class TestWorkers:
 
     @staticmethod
     def cpus(monkeypatch, n):
-        # pool from two blocks on, so four-block calls exercise the split
-        monkeypatch.setattr(mc, "_POOL_MIN_BLOCKS", 2)
         monkeypatch.setattr(mc, "_usable_cpus", lambda: n)
 
     @staticmethod
@@ -362,7 +360,7 @@ class TestWorkers:
         model = GGNoiseModel.normalized(1.0)
         cfg = three_user(db(10.0), 1.0)
         events = [canonical_event(cfg, l) for l in (1, 2, 3)]
-        events += [next(ev for ev, _ in enumerate_error_events(cfg, 3) if ev.mu == 0)]
+        events += [next(ev for ev in enumerate_error_events(cfg, 3) if ev.mu == 0)]
         estimates = {}
         for n in (1, 2, 3):
             self.cpus(monkeypatch, n)
@@ -408,19 +406,9 @@ class TestWorkers:
         )
         assert (est.blocks, est.workers) == (4, 1)
 
-    def test_below_pool_min_blocks_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
-        self.no_pool(monkeypatch)
-        blocks = mc._POOL_MIN_BLOCKS - 1
-        (est,) = estimate_pep_mc(
-            [canonical_event(three_user(10.0), 1)], GGNoiseModel.normalized(2.0),
-            blocks * mc.BLOCK_TRIALS, 1,
-        )
-        assert (est.blocks, est.workers) == (blocks, 1)
-
     @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
-    def test_pool_from_pool_min_blocks(self, monkeypatch):
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    def test_pool_from_two_blocks(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
         methods = []
 
         def executor(workers, mp_context):
@@ -430,13 +418,13 @@ class TestWorkers:
 
         pool_executor = concurrent.futures.ProcessPoolExecutor
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
-        trials = mc._POOL_MIN_BLOCKS * mc.BLOCK_TRIALS
+        trials = 2 * mc.BLOCK_TRIALS
         events = [canonical_event(three_user(10.0), 1)]
         model = GGNoiseModel.normalized(2.0)
         (pooled,) = estimate_pep_mc(events, model, trials, 1)
-        assert (pooled.blocks, pooled.workers) == (mc._POOL_MIN_BLOCKS, 2)
+        assert (pooled.blocks, pooled.workers) == (2, 2)
         assert methods == ["fork"]
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        self.cpus(monkeypatch, 1)
         assert estimate_pep_mc(events, model, trials, 1) == (pooled,)
 
     @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
@@ -460,6 +448,32 @@ class TestWorkers:
         assert started == [2, 3]
         # the two-worker pool was shut down before the three-worker one started
         assert _alive(two) == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
+    def test_larger_pool_serves_a_smaller_call(self, monkeypatch):
+        started = []
+
+        def executor(workers, mp_context):
+            started.append(workers)
+            return pool_executor(workers, mp_context=mp_context)
+
+        pool_executor = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
+        self.cpus(monkeypatch, 4)
+        first, workers = _estimate_in_child()
+        assert workers == 4 and started == [4]
+        kept = mc._KEPT_POOL._executor
+        events = [canonical_event(three_user(10.0), 1)]
+        model = GGNoiseModel.normalized(2.0)
+        (est,) = estimate_pep_mc(events, model, 2 * mc.BLOCK_TRIALS, 1)
+        # two ranges on two of the four kept workers, without a restart
+        assert (est.blocks, est.workers) == (2, 2)
+        assert started == [4] and mc._KEPT_POOL._executor is kept
+        self.cpus(monkeypatch, 1)
+        assert estimate_pep_mc(events, model, 2 * mc.BLOCK_TRIALS, 1) == (est,)
+        self.cpus(monkeypatch, 4)
+        assert _estimate_in_child() == (first, 4)
+        assert started == [4]
 
     @pytest.mark.skipif(not HAS_FORK, reason="the pool needs the fork start method")
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
@@ -597,7 +611,7 @@ class TestBitIdentity:
 
     SPLITS = {"bpsk": ((0.7, 0.2, 0.1), (-1.0, 1.0)), "4pam": ((0.8, 0.2), PAM4)}
     IN_PROCESS = 2 * mc.BLOCK_TRIALS + 4321  # three blocks, a partial last one
-    POOLED = mc._POOL_MIN_BLOCKS * mc.BLOCK_TRIALS + 99
+    POOLED = 6 * mc.BLOCK_TRIALS + 99
     COUNTS = {
         ("bpsk", 0.5, IN_PROCESS): (
             [3893, 3770, 7294, 547, 286, 812, 22, 2, 1, 135260, 135387],
@@ -627,24 +641,45 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("case,alpha,trials", sorted(COUNTS))
     def test_counts_are_pinned(self, monkeypatch, case, alpha, trials):
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        # one CPU keeps the IN_PROCESS cases on the calling process's path
+        pooled = trials == self.POOLED and HAS_FORK
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2 if pooled else 1)
         a, phi = self.SPLITS[case]
         configs = [
             SystemConfig(a=a, gamma_bar=db(v), constellation=phi, noise_alpha=alpha)
             for v in (5.0, 15.0, 30.0)
         ]
         events = [canonical_event(c, l) for c in configs for l in range(1, len(a) + 1)]
-        events += [ev for ev, _ in enumerate_error_events(configs[1], len(a)) if ev.mu == 0][:2]
+        events += [ev for ev in enumerate_error_events(configs[1], len(a)) if ev.mu == 0][:2]
         model = GGNoiseModel.normalized(alpha)
         peps = estimate_pep_mc(events, model, trials, 21)
         rows = simulate_ber(configs, model, trials, 21)
         pep_counts, ber_counts = self.COUNTS[(case, alpha, trials)]
         assert [round(e.point * trials) for e in peps] == pep_counts
         assert [[round(e.point * trials) for e in row] for row in rows] == ber_counts
-        pooled = trials == self.POOLED and HAS_FORK
         assert {e.workers for e in peps} == {e.workers for row in rows for e in row} == {
             2 if pooled else 1
         }
+
+
+@pytest.mark.parametrize("trials,seed,name", [
+    (1000.0, 1, "trials"), (0, 1, "trials"), (-5, 1, "trials"), ("1000", 1, "trials"),
+    (1000, 1.5, "seed"), (1000, -1, "seed"), (1000, None, "seed"),
+])
+def test_trials_and_seed_must_be_integers(trials, seed, name):
+    model = GGNoiseModel.normalized(2.0)
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        estimate_pep_mc([canonical_event(three_user(10.0), 1)], model, trials, seed)
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        simulate_ber([three_user(10.0)], model, trials, seed)
+
+
+def test_numpy_integer_trials_and_seed_accepted():
+    model = GGNoiseModel.normalized(2.0)
+    events = [canonical_event(three_user(10.0), 1)]
+    assert estimate_pep_mc(events, model, np.int64(5000), np.int64(3)) == estimate_pep_mc(
+        events, model, 5000, 3
+    )
 
 
 class TestCallRecord:
@@ -661,7 +696,6 @@ class TestCallRecord:
 def test_pooled_call_from_a_thread_matches_main_thread(monkeypatch):
     # the pool forks while another thread of the caller is alive; the
     # forked workers run only block code, so the counts cannot depend on it
-    monkeypatch.setattr(mc, "_POOL_MIN_BLOCKS", 2)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
     configs = [three_user(db(v)) for v in (5.0, 20.0)]
     model = GGNoiseModel.normalized(2.0)

@@ -280,10 +280,9 @@ class TestEnumerate:
     def test_single_user_counts(self):
         cfg = SystemConfig(a=(1.0,), gamma_bar=10.0)
         enum = enumerate_error_events(cfg, 1)
-        assert len(enum) == 2
-        # weights are normalized per (x, x_check) class; with no interferers
-        # and no SIC layers each class holds exactly one event
-        assert all(w == 1.0 for _, w in enum)
+        # with no interferers and no SIC layers each (x, x_check) class
+        # holds exactly one event
+        assert sorted((ev.x_l, ev.x_check_l) for ev in enum) == [(-1.0, 1.0), (1.0, -1.0)]
 
     def test_first_user_counts(self):
         assert len(enumerate_error_events(three_user(), 1)) == 8
@@ -291,19 +290,21 @@ class TestEnumerate:
     def test_last_user_counts(self):
         assert len(enumerate_error_events(three_user(), 3)) == 32
 
-    def test_weights_sum_to_one_per_class(self):
-        for l in (1, 2, 3):
-            totals = {}
-            for ev, w in enumerate_error_events(three_user(), l):
-                key = (ev.x_l, ev.x_check_l)
-                totals[key] = totals.get(key, 0.0) + w
-            for total in totals.values():
-                assert total == pytest.approx(1.0)
+    def test_class_counts(self):
+        # each (x, x_check) class has |phi|^(L + l - 2) assignments, and off
+        # the boundary every one of them is an event
+        for cfg in (three_user(), SystemConfig(a=(0.8, 0.2), gamma_bar=10.0, constellation=PAM4)):
+            phi = cfg.constellation
+            for l in range(1, cfg.L + 1):
+                counts = dict.fromkeys(itertools.permutations(phi, 2), 0)
+                for ev in enumerate_error_events(cfg, l):
+                    counts[ev.x_l, ev.x_check_l] += 1
+                assert set(counts.values()) == {len(phi) ** (cfg.L + l - 2)}
 
     def test_recompute_invariants(self):
         cfg = three_user(gamma_bar=25.0)
         for l in (1, 2, 3):
-            for ev, _ in enumerate_error_events(cfg, l):
+            for ev in enumerate_error_events(cfg, l):
                 X = sum(
                     cfg.amplitude(i + 1) * (ev.sic_transmitted[i] - ev.sic_detected[i])
                     for i in range(l - 1)

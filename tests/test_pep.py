@@ -116,7 +116,7 @@ class TestConditionalPep:
         model = GGNoiseModel.normalized(2.0)
         for _ in range(50):
             cfg = three_user(float(rng.uniform(0.5, 200.0)))
-            events = [ev for ev, _ in enumerate_error_events(cfg, int(rng.integers(1, 4)))]
+            events = [ev for ev in enumerate_error_events(cfg, int(rng.integers(1, 4)))]
             ev = events[int(rng.integers(0, len(events)))]
             h = float(rng.uniform(0.01, 5.0))
             lam = DecisionNoise.from_event(ev, h).lambda_sub
@@ -139,7 +139,7 @@ class TestConditionalPep:
     def test_infinite_gain_is_the_limit(self):
         cfg = three_user(10.0)
         model = GGNoiseModel.normalized(2.0)
-        values = {ev.mu: conditional_pep(ev, model, math.inf) for ev, _ in enumerate_error_events(cfg, 3)}
+        values = {ev.mu: conditional_pep(ev, model, math.inf) for ev in enumerate_error_events(cfg, 3)}
         assert values == {1: 0.0, 0: 1.0}
 
     def test_decay_argument_overflow_is_exact(self):
@@ -147,7 +147,7 @@ class TestConditionalPep:
         # destructive PEP exactly 1
         cfg = SystemConfig(a=(0.7, 0.2, 0.1), gamma_bar=db(250.0), noise_alpha=20.0)
         model = GGNoiseModel.normalized(20.0)
-        values = {ev.mu: conditional_pep(ev, model, 1e6) for ev, _ in enumerate_error_events(cfg, 3)}
+        values = {ev.mu: conditional_pep(ev, model, 1e6) for ev in enumerate_error_events(cfg, 3)}
         assert values == {1: 0.0, 0: 1.0}
 
 
@@ -229,7 +229,7 @@ class TestPepExact:
             model = GGNoiseModel.normalized(alpha)
             cfg = three_user(db(20.0), alpha)
             for l in (1, 2, 3):
-                for ev, _ in enumerate_error_events(cfg, l):
+                for ev in enumerate_error_events(cfg, l):
                     v = pep_exact(ev, model).value
                     assert -1e-9 <= v <= 1.0 + 1e-9
 
@@ -242,14 +242,38 @@ class TestPepExact:
         model = GGNoiseModel.normalized(alpha)
         cfg = SystemConfig(a=a, gamma_bar=db(snr_db), noise_alpha=alpha)
         for l in (1, 2, 3):
-            for ev, _ in enumerate_error_events(cfg, l):
+            for ev in enumerate_error_events(cfg, l):
                 assert 0.0 <= pep_exact(ev, model).value <= 1.0
+
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0])
+    @pytest.mark.parametrize("L,l", [(L, l) for L in (20, 30, 60) for l in (1, L // 2, L)])
+    def test_many_users_match_direct(self, L, l, snr_db, alpha):
+        # the order statistic's distribution function is a sum of positive
+        # terms; summed as alternating terms it missed pep_direct by 9e-11
+        # at L = 20 and failed to converge at L = 30 and 60
+        model = GGNoiseModel.normalized(alpha)
+        cfg = SystemConfig(a=(1.0 / L,) * L, gamma_bar=db(snr_db), noise_alpha=alpha)
+        ev = canonical_event(cfg, l)
+        exact = pep_exact(ev, model)
+        assert exact.method == "quadrature"
+        assert abs(exact.value - pep_direct(ev, model).value) <= 1e-12
+
+    def test_binomial_overflow_raises_domain_error(self):
+        # C(1100, 550) and A_550 of 1100 users are beyond a double
+        model = GGNoiseModel.normalized(2.0)
+        cfg = SystemConfig(a=(1.0 / 1100,) * 1100, gamma_bar=db(10.0))
+        ev = canonical_event(cfg, 550)
+        for route in (pep_exact, pep_direct):
+            with pytest.raises(DomainError, match="of 1100 users overflow"):
+                route(ev, model)
 
 
 def canonical_and_destructive(cfg, l):
     """User l's canonical (constructive) event and its first destructive
     one, where the user has one."""
-    destructive = [ev for ev, _ in enumerate_error_events(cfg, l) if not ev.mu]
+    destructive = [ev for ev in enumerate_error_events(cfg, l) if not ev.mu]
     return [canonical_event(cfg, l)] + destructive[:1]
 
 
@@ -400,7 +424,7 @@ def series_events(draw):
     alpha = draw(st.floats(0.3, 8.0))
     cfg = split_config(weights, draw(st.floats(-10.0, 300.0)), alpha)
     mu = draw(st.integers(0, 1))
-    events = [ev for ev, _ in enumerate_error_events(cfg, l)]
+    events = [ev for ev in enumerate_error_events(cfg, l)]
     events = [ev for ev in events if ev.mu == mu] or events
     return events[draw(st.integers(0, len(events) - 1))], GGNoiseModel.normalized(alpha)
 
@@ -408,7 +432,7 @@ def series_events(draw):
 def series_example(weights, snr_db, alpha, l, mu):
     """A pinned example of series_events: user l's first event of that mu."""
     cfg = split_config(weights, snr_db, alpha)
-    ev = next(ev for ev, _ in enumerate_error_events(cfg, l) if ev.mu == mu)
+    ev = next(ev for ev in enumerate_error_events(cfg, l) if ev.mu == mu)
     return example(drawn=(ev, GGNoiseModel.normalized(alpha)))
 
 
@@ -447,7 +471,7 @@ class TestHighSnrSeries:
         # 1 - c rounds to 1.0: the estimate must cover that rounding
         model = GGNoiseModel.normalized(0.7)
         cfg = split_config(SIX_USERS, 200.0, 0.7)
-        ev = next(ev for ev, _ in enumerate_error_events(cfg, 6) if not ev.mu)
+        ev = next(ev for ev in enumerate_error_events(cfg, 6) if not ev.mu)
         result = pep_exact(ev, model)
         assert result.method == "series_high" and result.value == 1.0
         c = pep_mp(ev, _kappa(ev, model.lambda0))
@@ -561,7 +585,7 @@ class TestMpmathPins:
         model = GGNoiseModel.normalized(alpha)
         # the PEP depends on an event only through kappa: one per distinct one
         events = {}
-        for ev, _ in enumerate_error_events(split_config(weights, snr_db, alpha), l):
+        for ev in enumerate_error_events(split_config(weights, snr_db, alpha), l):
             if ev.mu:
                 events.setdefault(f"{_kappa(ev, model.lambda0):.12g}", ev)
         for ev in events.values():
@@ -610,7 +634,7 @@ class TestPepProperties:
         model = GGNoiseModel.normalized(alpha)
         cfg = split_config(weights, snr_db, alpha)
         louder = dataclasses.replace(cfg, gamma_bar=db(snr_db + 5.0))
-        for ev, _ in enumerate_error_events(cfg, l):
+        for ev in enumerate_error_events(cfg, l):
             exact = pep_exact(ev, model).value
             assert pep_direct(ev, model).value == pytest.approx(exact, rel=1e-8, abs=0.0)
             assert 0.0 <= exact <= 1.0
@@ -649,7 +673,7 @@ class TestPepProperties:
     )
     def test_closed_form_matches_quadrature(self, weights, alpha, snr_db, l):
         model = GGNoiseModel.normalized(alpha)
-        for ev, _ in enumerate_error_events(split_config(weights, snr_db, alpha), l):
+        for ev in enumerate_error_events(split_config(weights, snr_db, alpha), l):
             assert pep_closed_form(ev, alpha).value == pytest.approx(
                 pep_exact(ev, model).value, rel=1e-6, abs=0.0
             )
@@ -657,7 +681,7 @@ class TestPepProperties:
     @pytest.mark.xfail(strict=True, reason="pep_closed_form's bracket sum cancels at high SNR")
     def test_closed_form_cancels_above_50db(self):
         model = GGNoiseModel.normalized(2.0)
-        for ev, _ in enumerate_error_events(split_config((0.4884, 0.402, 0.1096), 54.65, 2.0), 3):
+        for ev in enumerate_error_events(split_config((0.4884, 0.402, 0.1096), 54.65, 2.0), 3):
             assert pep_closed_form(ev, 2.0).value == pytest.approx(
                 pep_exact(ev, model).value, rel=1e-6, abs=0.0
             )
@@ -679,7 +703,7 @@ class TestClosedForm:
         model = GGNoiseModel.normalized(1.0)
         cfg = three_user(db(20.0), 1.0)
         for l in (1, 2, 3):
-            for ev, _ in enumerate_error_events(cfg, l):
+            for ev in enumerate_error_events(cfg, l):
                 assert pep_closed_form(ev, 1.0).value == pytest.approx(
                     pep_exact(ev, model).value, rel=1e-8, abs=0.0
                 )
@@ -693,7 +717,7 @@ class TestClosedForm:
         for snr_db in range(-10, 121, 10):
             cfg = SystemConfig(a=a, gamma_bar=db(snr_db), noise_alpha=alpha)
             for l in (1, 2, 3):
-                for ev, _ in enumerate_error_events(cfg, l):
+                for ev in enumerate_error_events(cfg, l):
                     if not ev.mu:
                         assert pep_closed_form(ev, alpha).value == pytest.approx(
                             pep_exact(ev, model).value, rel=1e-12, abs=0.0
